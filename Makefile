@@ -27,7 +27,7 @@ SUGGESTTIME ?= 200x
 # fuzz knob: how long `make fuzz` mutates each target.
 FUZZTIME ?= 20s
 
-.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput race examples fuzz
+.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput bench-e2e race examples fuzz
 
 all: vet lint build test
 
@@ -69,8 +69,8 @@ bench-smoke:
 	# candidate batch on a live session vs recompiling the world.
 	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Lazy top-k ranking: suggest-per-assert (assert off the clock,
-	# pruned vs the ExhaustiveRank escape hatch) plus the core-layer
-	# gain-pass microbenchmark.
+	# pruned vs the exhaustive reference pass tests select) plus the
+	# core-layer gain-pass microbenchmark.
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 
@@ -83,26 +83,34 @@ bench-throughput:
 		$(GO) run ./cmd/benchmedian $(if $(BENCHJSON),-json $(BENCHJSON))
 
 # Lazy top-k acceptance rig: BenchmarkSuggestHot medians (pruned vs
-# the ExhaustiveRank escape hatch) on the multicomp and hub-heavy
-# merged profiles. Set SUGGESTJSON=path.json for the machine-readable
+# the exhaustive reference pass) on the multicomp and hub-heavy merged
+# profiles. Set SUGGESTJSON=path.json for the machine-readable
 # summary (CI archives it as BENCH_suggest.json).
 bench-suggest:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(SUGGESTTIME) -count $(COUNT) . | \
 		$(GO) run ./cmd/benchmedian $(if $(SUGGESTJSON),-json $(SUGGESTJSON))
+
+# End-to-end benchmark (perfbench/, a nested module): one run of each
+# workload at seed 1 with the default duration. Build products and
+# traces stay under .bench_build/.
+bench-e2e:
+	@set -e; for w in bp-full uaf-half multicomp-durable; do bash perfbench/run.sh --workload $$w --seed 1; done
 
 # Run every example main once — a smoke test that the public API
 # surface the examples exercise keeps working end to end.
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null; done; echo "examples OK"
 
-# Native-fuzz smoke over the two decoders that consume externally
-# produced bytes — the session_io decoder (LoadSession) and the WAL
-# recovery scan (arbitrary crash-damaged log images) — plus the
-# dynamic-topology differential: random AddSchema/AddCandidates/
-# RetireCandidate/Assert interleavings checked bit-for-bit against
-# from-scratch construction. FUZZTIME per target; crashes land in
-# testdata/fuzz/ as regression cases.
+# Native-fuzz smoke over the decoders that consume externally produced
+# bytes — the session_io decoder (LoadSession), the dataset decoder
+# feeding a live session (DecodeDataset → NewSession → Suggest/Assert/
+# Instantiate), and the WAL recovery scan (arbitrary crash-damaged log
+# images) — plus the dynamic-topology differential: random AddSchema/
+# AddCandidates/RetireCandidate/Assert interleavings checked
+# bit-for-bit against from-scratch construction. FUZZTIME per target;
+# crashes land in testdata/fuzz/ as regression cases.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadSession -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDataset -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalBuild -fuzztime $(FUZZTIME) .

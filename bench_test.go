@@ -729,9 +729,9 @@ func benchBudgetAssertOnly(b *testing.B, d *schemanet.Dataset, opts schemanet.Op
 // benchSuggestHot times the Suggest half of the pay-as-you-go loop:
 // every iteration is one ranked suggestion, and the assertion that
 // stales the ranking happens off the clock — so the number isolates
-// the top-k re-rank (plus snapshot/strategy plumbing) that
-// Options.ExhaustiveRank toggles between the lazy bound-pruned
-// evaluator and the full gain pass.
+// the top-k re-rank (plus snapshot/strategy plumbing), on the lazy
+// bound-pruned evaluator or the exhaustive reference pass
+// (WithExhaustiveRank).
 func benchSuggestHot(b *testing.B, d *schemanet.Dataset, opts schemanet.Options) {
 	b.Helper()
 	net := d.Network
@@ -767,7 +767,7 @@ func benchSuggestHot(b *testing.B, d *schemanet.Dataset, opts schemanet.Options)
 
 // BenchmarkSuggestHot is the lazy top-k acceptance benchmark:
 // suggest-per-assert with the assert off the clock, pruned ranking
-// against the exhaustive escape hatch, on the small-component-heavy
+// against the exhaustive reference pass, on the small-component-heavy
 // multicomp profile and the hub-heavy merged profile. The two paths
 // return bit-identical suggestions (topk_differential_test.go), so the
 // ratio is pure ranking cost.
@@ -785,11 +785,11 @@ func BenchmarkSuggestHot(b *testing.B) {
 		d    *schemanet.Dataset
 	}{{"multicomp/C=512", multi}, {"merged/C=512", merged}} {
 		for _, mode := range []struct {
-			name       string
-			exhaustive bool
-		}{{"rank=pruned", false}, {"rank=exhaustive", true}} {
+			name string
+			opts *schemanet.Options
+		}{{"rank=pruned", &schemanet.Options{}}, {"rank=exhaustive", schemanet.WithExhaustiveRank(schemanet.Options{})}} {
 			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				benchSuggestHot(b, w.d, schemanet.Options{ExhaustiveRank: mode.exhaustive})
+				benchSuggestHot(b, w.d, *mode.opts)
 			})
 		}
 	}

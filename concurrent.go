@@ -43,7 +43,7 @@ import (
 //     gain already found. Assert-only workloads never re-rank at all.
 //     The ranking is a deterministic function of component state, so
 //     suggestions are exactly what eager exhaustive re-ranking would
-//     produce (Options.ExhaustiveRank forces the legacy pass).
+//     produce.
 //   - Each component samples from its own deterministic rng stream
 //     (seeded from the session seed at construction), so a
 //     component-disjoint assertion schedule produces probabilities
@@ -129,20 +129,9 @@ func (s *Session) Concurrent() *ConcurrentSession {
 		// perturb (or race with) sampling draws.
 		sugRng: rand.New(rand.NewSource(s.seed ^ 0x5eed5a17)),
 	}
-	if s.pmn.ExhaustiveRank() {
-		// A fresh session is gain-stale everywhere: one worker-sharded
-		// cold ranking pass (the serial path's machinery) beats ranking
-		// each component sequentially in the snapshot loop, which then
-		// finds every component already ranked.
-		s.pmn.InformationGains()
-		for k := 0; k < n; k++ {
-			cs.snaps[k].Store(s.pmn.SnapshotComponent(k))
-		}
-		return cs
-	}
-	// Lazy mode: publish probs-only snapshots and let the first Suggest
-	// rank on demand — the entropy-ordered skip rule then prunes most
-	// components without ever ranking them.
+	// Publish probs-only snapshots and let the first Suggest rank on
+	// demand — the entropy-ordered skip rule then prunes most components
+	// without ever ranking them.
 	for k := 0; k < n; k++ {
 		cs.snaps[k].Store(s.pmn.SnapshotComponentProbs(k))
 	}
@@ -306,7 +295,8 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	// component cannot contribute a maximum or a tie and is skipped
 	// without any ranking work — left unranked for a later Suggest to
 	// revisit if the bar ever drops. The skip is gated on lazy mode so
-	// Options.ExhaustiveRank keeps the legacy rank-everything behavior.
+	// the exhaustive reference route (core.Config.ExhaustiveRank) keeps
+	// the rank-everything behavior.
 	sort.Slice(pending, func(a, b int) bool {
 		ea, eb := snaps[pending[a]].Entropy(), snaps[pending[b]].Entropy()
 		if ea != eb {
@@ -360,8 +350,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 
 // rankComponent upgrades component k's published snapshot to a ranked
 // one under the component's lock, through the lazy bound-pruned top-k
-// evaluator (SnapshotComponentTop; the exhaustive pass under
-// Options.ExhaustiveRank). Double-checked — a concurrent Suggest or a
+// evaluator (SnapshotComponentTop). Double-checked — a concurrent Suggest or a
 // write that raced us may have published a current ranked snapshot
 // first, in which case the re-rank is already paid and the snapshot is
 // returned as is. A set dirty flag defeats the short-circuit: it means

@@ -44,18 +44,18 @@ func multiVideoNet(t testing.TB, groups int) (*schemanet.Network, *schemanet.Mat
 
 // TestDecomposedMatchesMonolithicExact is the headline differential
 // guarantee of the component decomposition: on a multi-component
-// network under Options.Exact, the decomposed PMN computes *identical*
+// network under exact inference, the decomposed PMN computes *identical*
 // probabilities to the monolithic single-sample-space path, after every
 // assertion of a full reconciliation — including disapprovals, which
 // trigger per-component re-enumeration on one side and global
 // re-enumeration on the other.
 func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	dec, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 11})
+	dec, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 11, Monolithic: true})
+	mono, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 11, Monolithic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 // not just the first component's.
 func TestDecomposedSuggestWorksPerComponent(t *testing.T) {
 	net, truth := multiVideoNet(t, 4)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 3})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDecomposedSuggestWorksPerComponent(t *testing.T) {
 // still below the default n_min of 200, so both sides are exact here.
 func TestDecomposedSampledStatisticallyEquivalent(t *testing.T) {
 	net, _ := multiVideoNet(t, 3)
-	exact, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 7})
+	exact, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,3 +77,51 @@ func FuzzLoadSession(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeDataset feeds arbitrary bytes through the path a dataset
+// file takes in cmd/reconcile -in: DecodeDataset, then NewSession and a
+// short Suggest/Assert/Instantiate loop. Any input must end in an error
+// or a working session — never a panic.
+func FuzzDecodeDataset(f *testing.F) {
+	for _, seed := range []string{
+		`{"schemas":[{"name":"S","attributes":[""]}]}`,
+		`{"schemas":[{"name":"S","attributes":["a","a"]}]}`,
+		`{"schemas":[{"name":"a","attributes":["p"]}],"edges":[["a","zzz"]]}`,
+		`{"schemas":[{"name":"a","attributes":["p","q"]},{"name":"b","attributes":["p","q"]}],"edges":[["a","b"]],
+		  "candidates":[{"from":"a.p","to":"b.p","confidence":0.9},{"from":"a.p","to":"b.q","confidence":0.4},
+		                {"from":"a.q","to":"b.q","confidence":0.8}],
+		  "ground_truth":[["a.p","b.p"]]}`,
+		`{"schemas":[{"name":"a","attributes":["x"]},{"name":"b","attributes":["x"]},{"name":"c","attributes":["x"]}],
+		  "edges":[["a","b"],["b","c"],["a","c"]],
+		  "candidates":[{"from":"a.x","to":"b.x","confidence":0.7},{"from":"b.x","to":"c.x","confidence":0.6},
+		                {"from":"a.x","to":"c.x","confidence":0.2}]}`,
+		`[]`, `null`, `{}`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	opts := &schemanet.Options{Seed: 3, Samples: 40}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := schemanet.DecodeDataset(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s, err := schemanet.NewSession(d.Network, opts)
+		if err != nil {
+			return
+		}
+		for i := 0; i < 3; i++ {
+			c, ok := s.Suggest()
+			if !ok {
+				break
+			}
+			if err := s.Assert(c, i%2 == 0); err != nil {
+				t.Fatalf("suggested candidate %d rejected: %v", c, err)
+			}
+		}
+		for _, p := range s.Instantiate().Pairs() {
+			if d.Network.CandidateIndex(p[0], p[1]) < 0 {
+				t.Fatalf("instantiated pair %v is not a candidate", p)
+			}
+		}
+	})
+}

@@ -231,6 +231,35 @@ func TestInformationGainsVectorAgrees(t *testing.T) {
 	}
 }
 
+// TestInformationGainsBitIdenticalToPerCandidate: the exhaustive pass
+// counts only the uncertain, unasserted columns, relying on every other
+// column's entropy term being exactly 0.0; each gain must equal the
+// single-candidate InformationGain (which sums over every column)
+// bit for bit — on decomposed and monolithic PMNs, before and after
+// assertions.
+func TestInformationGainsBitIdenticalToPerCandidate(t *testing.T) {
+	for _, mono := range []bool{false, true} {
+		p, _, d := topkTestPMNs(t, 21, func(c *Config) { c.Monolithic = mono })
+		for step := 0; step < 12; step++ {
+			gains := p.InformationGains()
+			for c := range gains {
+				if want := p.InformationGain(c); gains[c] != want {
+					t.Fatalf("monolithic=%v step %d cand %d: InformationGains %v, InformationGain %v",
+						mono, step, c, gains[c], want)
+				}
+			}
+			u := uncertainUnasserted(p)
+			if len(u) == 0 {
+				break
+			}
+			c := u[(step*7)%len(u)]
+			if err := p.Assert(c, d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestConditionalEntropyDecomposition(t *testing.T) {
 	// With exact probabilities over all instances, H(C|c) must equal
 	// p_c·H+ + (1−p_c)·H− computed from first principles on the video
@@ -551,9 +580,9 @@ func TestEntropyMatchesStoreProbabilities(t *testing.T) {
 
 // TestInformationGainsWorkersAgree: the sharded ranking pass must be
 // bit-identical to the sequential one regardless of worker count (on a
-// network large enough that the chunk clamp cannot reduce the pass to
-// one worker). Single-CPU machines would otherwise never execute the
-// goroutine branch under test.
+// component large enough that the pass shards at all). Single-CPU
+// machines would otherwise never execute the goroutine branch under
+// test.
 func TestInformationGainsWorkersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d, err := datagen.SyntheticNetwork(datagen.Profile{
@@ -569,11 +598,15 @@ func TestInformationGainsWorkersAgree(t *testing.T) {
 	e := constraints.Default(d.Network)
 
 	gains := make(map[int][]float64)
+	largest := 0
 	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		p := MustNew(e, cfg, rand.New(rand.NewSource(23)))
 		gains[workers] = p.InformationGains()
+		for _, cp := range p.comps {
+			largest = max(largest, len(cp.rankPending))
+		}
 	}
 	if len(gains[1]) != len(gains[4]) {
 		t.Fatalf("gain vector lengths differ: %d vs %d", len(gains[1]), len(gains[4]))
@@ -587,10 +620,10 @@ func TestInformationGainsWorkersAgree(t *testing.T) {
 			nonzero++
 		}
 	}
-	// Guard the guard: the network must be big and uncertain enough that
-	// the chunk clamp leaves more than one worker active (igChunk-sized
-	// chunks) and the comparison is not vacuous.
-	if nonzero < 2*igChunk {
-		t.Fatalf("only %d candidates with positive gain; network too certain for a meaningful multi-worker test", nonzero)
+	// Guard the guard: some component must be big and uncertain enough
+	// that its pass shards across workers, and the comparison must not
+	// be vacuous.
+	if largest < rankParallelMin || nonzero == 0 {
+		t.Fatalf("largest ranked component has %d uncertain members (%d with positive gain); too small for a meaningful multi-worker test", largest, nonzero)
 	}
 }

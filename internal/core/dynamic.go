@@ -204,9 +204,6 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 		}
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
-		if c.rankScratch != nil {
-			c.rankScratch = nil
-		}
 	}
 	// Carried components keep scratch-free state too: the ranking
 	// scratch is sized to maxComp and the global assertion mask, both of

@@ -52,18 +52,17 @@ type Config struct {
 	// mode, which never overflows).
 	ExactBudget int
 	// Workers bounds the goroutines of the information-gain ranking
-	// pass (InformationGains) and of the lazy top-k ranker's
-	// intra-component sharding (see topk.go). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces a sequential pass.
+	// passes, which shard one component's uncertain members (see
+	// EnsureComponentGains and topk.go). 0 means runtime.GOMAXPROCS(0);
+	// 1 forces a sequential pass.
 	Workers int
-	// ExhaustiveRank disables the lazy bound-pruned top-k suggestion
-	// ranking: Suggest-facing paths fall back to the legacy exhaustive
-	// per-component gain pass (EnsureComponentGains /
-	// InformationGains). The two paths produce bit-identical
-	// suggestions, tie sets, and gain values — the lazy ranker prunes
-	// only candidates whose upper bound proves they cannot reach the
-	// maximum (see DESIGN.md, "Lazy top-k ranking") — so the switch
-	// exists for differential testing and as an escape hatch.
+	// ExhaustiveRank routes every suggestion-facing ranking through the
+	// exhaustive per-component gain pass (EnsureComponentGains /
+	// InformationGains) instead of the lazy bound-pruned top-k ranker.
+	// The two produce bit-identical suggestions, tie sets, and gain
+	// values — the lazy ranker prunes only candidates whose upper bound
+	// proves they cannot reach the maximum (see DESIGN.md, "Lazy top-k
+	// ranking") — so the switch is the reference for differential tests.
 	ExhaustiveRank bool
 	// Monolithic disables component decomposition: the whole network is
 	// one sample space, as in the paper's Algorithm 1. The decomposed
@@ -116,10 +115,14 @@ type component struct {
 	// the component further, so a too-big component does not re-burn its
 	// budgeted enumeration probe on every assertion.
 	promoteBar int
-	// rankScratch is reused by EnsureComponentGains; owned by the
-	// component (used only under the component's lock in concurrent
-	// serving), so the eager per-assertion re-rank does not re-allocate.
-	rankScratch *igScratch
+	// rankScratch (one per worker, see workerScratches) serves both
+	// ranking passes; rankPending/rankCols are EnsureComponentGains'
+	// candidate and column lists. Owned by the component (used only
+	// under the component's lock in concurrent serving), so a re-rank
+	// does not re-allocate.
+	rankScratch []*igScratch
+	rankPending []int
+	rankCols    []int
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
 	// component's maximal-gain tie set; topFresh is its validity bit,

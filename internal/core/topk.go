@@ -19,26 +19,20 @@ import (
 //	IG(c) = Σ_{d ∈ U} I(c; d),  0 ≤ I(c; d) ≤ min(H(p_c), H(p_d))
 //
 // (asserted members are skipped by the partition entropy; certain
-// members contribute an exactly-zero term). Three upper bounds apply:
+// members contribute an exactly-zero term). Two upper bounds apply:
 //
 //   - χ²: each pairwise term satisfies I(c;d) ≤ χ²(joint ‖ product) —
 //     a pure-arithmetic function of the pair's 2×2 contingency table
-//     (see chiGainBound) that tracks the true mutual information to
-//     within a small factor. One count pass over U×U bounds every
-//     candidate; up to topkMatrixCap members the pass builds the
-//     symmetric co-count matrix (upper triangle only — half the
-//     popcount work) that the exact evaluations below then read rows
-//     from instead of re-counting;
+//     (see chiMirrorSerial) that tracks the true mutual information to
+//     within a small factor. One pass over U×U builds the symmetric
+//     co-count matrix (upper triangle only — half the popcount work);
+//     the bound and every exact evaluation below then read its rows
+//     instead of re-counting;
 //   - delta: IG_new(c) ≤ IG_old(c) + |U|·D(δ), where δ bounds the total
 //     variation between the store's empirical distribution now and at
 //     c's last evaluation (pure row compaction of r of n rows gives
 //     δ = r/n) and D(δ) is an entropy-continuity (Fannes/Audenaert)
-//     bound on how much one pairwise term can move (see noteDrift);
-//   - static (streaming fallback above the matrix cap): sort U's binary
-//     entropies descending, h_1 ≥ … ≥ h_M with prefix sums S_i; the
-//     candidate at sorted position i satisfies
-//     IG ≤ i·h_i + (S_M − S_i) ≤ H_k — the "cached entropy term" bound,
-//     tightened per candidate.
+//     bound on how much one pairwise term can move (see noteDrift).
 //
 // Candidates are evaluated in descending-upper-bound order in fixed
 // blocks; once the best evaluated gain dominates every remaining bound
@@ -46,10 +40,12 @@ import (
 // candidate's bound is below the running maximum, so it can be neither
 // the arg-max nor a tie — the surviving tie set and its gain are
 // *exactly* those of the exhaustive pass, and the per-candidate
-// arithmetic is bit-identical (see partitionEntropySubset). Components
+// arithmetic is bit-identical (see evalMatrixOne). A component with more
+// than TopkMatrixCap uncertain members skips the matrix and ranks with
+// the sharded exhaustive pass (EnsureComponentGains) instead. Components
 // whose cached entropy term H_k cannot reach the network-wide best are
 // skipped wholesale by TopGainTies. Config.ExhaustiveRank routes
-// everything back through the legacy full pass.
+// everything through the exhaustive pass.
 
 const (
 	// topkBlock is how many candidates one lazy round evaluates before
@@ -61,19 +57,20 @@ const (
 	// log2of3 appears in the Audenaert continuity bound for the 4-outcome
 	// joint distribution of a candidate pair.
 	log2of3 = 1.584962500721156
-
-	// topkMatrixCap is the largest uncertain-member count for which one
-	// pass builds the symmetric co-count matrix cw[i][j] = |c_i ∧ c_j|
-	// up front: the χ² bound and every exact evaluation then read rows
-	// instead of re-counting, and symmetry halves the popcount work.
-	// Above the cap (nu² ints ≳ 8 MB) the streaming kernels are used.
-	topkMatrixCap = 1024
 )
 
-// rankParallelMin is the uncertain-member count at which the lazy
-// evaluator shards a block across Config.Workers; below it the
-// goroutine fan-out costs more than the count passes. A variable so
-// tests can force the parallel path on small fixtures.
+// TopkMatrixCap is the largest uncertain-member count a component ranks
+// through the co-count matrix cw[i][j] = |c_i ∧ c_j|; above it (nu² ints
+// ≳ 8 MB) the sharded exhaustive pass ranks the component instead. A
+// variable so tests can exercise both sides of the cap on small
+// fixtures; nothing else writes it.
+var TopkMatrixCap = 1024
+
+// rankParallelMin is the uncertain-member count at which a ranking pass
+// (the lazy evaluator or EnsureComponentGains) shards across
+// Config.Workers; below it the goroutine fan-out costs more than the
+// count passes. A variable so tests can force the parallel path on
+// small fixtures.
 var rankParallelMin = 33
 
 // topkScratch holds the reusable buffers of one component's lazy
@@ -88,27 +85,17 @@ type topkScratch struct {
 	ord   []int     // indices into cand, upper bound descending
 	ties  []int     // result accumulator
 
-	// Block-kernel scratch (serial path): topkBlock count rows plus the
-	// candidates' column vectors and global ids.
-	bwith, bwithout [][]int
-	bn, bno         []int
-	bcols           [][]uint64
-	bcand           []int
-
-	// Co-count matrix scratch (nu ≤ topkMatrixCap): cw[i][j] = |c_i ∧ c_j|
-	// over the store's n rows, marg[i] = cw[i][i] the candidates' own
-	// counts. trows/twout are row views handed to the block kernel while
-	// filling the upper triangle.
+	// Co-count matrix: cw[i][j] = |c_i ∧ c_j| over the store's n rows,
+	// marg[i] = cw[i][i] the candidates' own counts. The serial triangle
+	// count hands the block kernel row views (trows) plus topkBlock
+	// without rows, totals and column vectors.
 	cw           [][]int
 	marg         []int
 	n            int
 	trows, twout [][]int
-
-	// scr[w] is worker w's count/memo scratch; scr[0] doubles as the
-	// serial path's. The asserted mask is never consulted — the subset
-	// already excludes asserted members — so the igScratch asserted
-	// field stays nil.
-	scr []*igScratch
+	bwithout     [][]int
+	bn, bno      []int
+	bcols        [][]uint64
 }
 
 func (cp *component) ensureTopScratch() *topkScratch {
@@ -210,9 +197,9 @@ func (p *PMN) TopGains(k int) ([]int, float64) {
 		return cp.topTies, cp.topGain
 	}
 	if !p.gainsStale[k] || p.cfg.ExhaustiveRank {
-		// A valid full gain vector (or the exhaustive escape hatch, which
-		// refreshes one) already holds every member's gain; derive the
-		// tie set by the same ascending scan the ranked snapshot uses.
+		// A valid full gain vector (or the exhaustive reference route,
+		// which refreshes one) already holds every member's gain; derive
+		// the tie set by an ascending scan.
 		p.EnsureComponentGains(k)
 		return p.topFromGains(k)
 	}
@@ -257,7 +244,8 @@ func (p *PMN) topFromGains(k int) ([]int, float64) {
 // computeTopGains is the lazy bound-pruned evaluation of one stale
 // component (see the package comment above): collect U, bound every
 // member, evaluate blocks in descending-bound order, stop when the
-// running best strictly dominates the remaining bounds.
+// running best strictly dominates the remaining bounds. A component
+// above TopkMatrixCap is ranked exhaustively instead.
 func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	cp := p.comps[k]
 	ts := cp.ensureTopScratch()
@@ -285,6 +273,12 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		cp.topTies, cp.topGain, cp.topFresh = cp.topTies[:0], -1, true
 		return cp.topTies, -1
 	}
+	if nu > TopkMatrixCap {
+		// Without the matrix, the bound pass costs a count pass over U
+		// per candidate — as much as ranking every candidate outright.
+		p.EnsureComponentGains(k)
+		return p.topFromGains(k)
+	}
 
 	ord := ts.ord[:0]
 	for i := 0; i < nu; i++ {
@@ -295,60 +289,22 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		ts.gain = make([]float64, nu)
 	}
 	ts.ub, ts.gain = ts.ub[:nu], ts.gain[:nu]
-	workers := p.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := p.rankWorkers()
 	parallel := nu >= rankParallelMin && workers > 1
 
-	// χ² bounding: one arithmetic-only count pass over U replaces the
-	// entropy-bearing evaluation for most candidates. The static
-	// prefix-sum bound is off by an order of magnitude on hub-heavy
-	// components (min(h_c, h_d) assumes every pair is perfectly
-	// correlated); the pairwise χ² bound tracks the actual mutual
-	// information to within ~2x, so the exact pass below usually touches
-	// only the top block. Up to topkMatrixCap members the pass
-	// materializes the symmetric co-count matrix — counted once over the
-	// upper triangle, shared by the χ² bound and every exact evaluation
-	// below — and the dominated static bound is skipped entirely.
-	useMx := nu <= topkMatrixCap
-	if useMx {
-		p.countTriangle(cp, ts, workers, parallel)
-		if parallel {
-			chiFromMatrix(ts, workers)
-		} else {
-			chiMirrorSerial(ts)
-		}
-		for i := 0; i < nu; i++ {
-			if db, ok := cp.deltaBound(ts.ucols[i]); ok && db < ts.ub[i] {
-				ts.ub[i] = db
-			}
-		}
+	// χ² bounding from the co-count matrix — counted once over the upper
+	// triangle, shared by the bound and every exact evaluation below —
+	// tightened by the delta bound where a valid previous evaluation
+	// exists.
+	p.countTriangle(cp, ts, workers, parallel)
+	if parallel {
+		chiFromMatrix(ts, workers)
 	} else {
-		// Static bound via the descending-entropy prefix sums, tightened
-		// by the delta bound where a valid previous evaluation exists,
-		// then by the streaming χ² pass.
-		sort.Slice(ord, func(a, b int) bool {
-			ha, hb := ts.h[ord[a]], ts.h[ord[b]]
-			if ha != hb {
-				return ha > hb
-			}
-			return ts.cand[ord[a]] < ts.cand[ord[b]]
-		})
-		suffix := 0.0
-		for pos := nu - 1; pos >= 0; pos-- {
-			i := ord[pos]
-			ub := float64(pos+1)*ts.h[i] + suffix
-			suffix += ts.h[i]
-			if db, ok := cp.deltaBound(ts.ucols[i]); ok && db < ub {
-				ub = db
-			}
-			ts.ub[i] = ub
-		}
-		if parallel {
-			p.chiBoundParallel(cp, ts, workers)
-		} else {
-			p.chiBoundSerial(cp, ts)
+		chiMirrorSerial(ts)
+	}
+	for i := 0; i < nu; i++ {
+		if db, ok := cp.deltaBound(ts.ucols[i]); ok && db < ts.ub[i] {
+			ts.ub[i] = db
 		}
 	}
 	sort.Slice(ord, func(a, b int) bool {
@@ -373,14 +329,7 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		for hi > pos+1 && ts.ub[ord[hi-1]] < best-PruneMargin(best) {
 			hi--
 		}
-		switch {
-		case useMx:
-			p.evalBlockMatrix(cp, ts, pos, hi, workers, parallel)
-		case parallel && hi-pos > 1:
-			p.evalBlockParallel(cp, ts, pos, hi, workers)
-		default:
-			p.evalBlockSerial(cp, ts, pos, hi)
-		}
+		p.evalBlockMatrix(cp, ts, pos, hi, workers, parallel)
 		for _, i := range ord[pos:hi] {
 			g := ts.gain[i]
 			cp.recordEval(ts.ucols[i], g, storeColumns(cp, len(p.probs)))
@@ -410,112 +359,22 @@ func storeColumns(cp *component, universe int) int {
 	return universe
 }
 
-// ensureBlockBufs sizes the serial block-kernel count rows for a pass
-// over nu subset columns.
+// ensureBlockBufs sizes the serial triangle count's block-kernel
+// scratch for a pass over nu subset columns.
 func (ts *topkScratch) ensureBlockBufs(nu int) {
-	if ts.bwith == nil {
-		ts.bwith = make([][]int, topkBlock)
+	if ts.bwithout == nil {
+		ts.trows = make([][]int, topkBlock)
+		ts.twout = make([][]int, topkBlock)
 		ts.bwithout = make([][]int, topkBlock)
 		ts.bn = make([]int, topkBlock)
 		ts.bno = make([]int, topkBlock)
 		ts.bcols = make([][]uint64, topkBlock)
 	}
-	for i := range ts.bwith {
-		if cap(ts.bwith[i]) < nu {
-			ts.bwith[i] = make([]int, nu)
+	for i, row := range ts.bwithout {
+		if cap(row) < nu {
 			ts.bwithout[i] = make([]int, nu)
 		}
-		ts.bwith[i] = ts.bwith[i][:nu]
-		ts.bwithout[i] = ts.bwithout[i][:nu]
 	}
-}
-
-// chiGainBound turns one candidate's partition counts into an upper
-// bound on its exact gain, using only arithmetic. Each pairwise term
-// of IG(c) is an empirical mutual information I(c;d); for the 2×2
-// contingency table with cells a=|c∧d|, b=|c∧¬d|, e=|¬c∧d|, f=|¬c∧¬d|
-// and margins r₁=a+b, r₀=e+f, s₁=a+e, s₀=b+f,
-//
-//	I(c;d) = KL(joint ‖ product) ≤ χ²(joint ‖ product) nats
-//	       = det²/(r₁·r₀·s₁·s₀),  det = a·f − b·e
-//
-// (the classical ln t ≤ t−1 bound on KL; exact when det = 0). The χ²
-// value is ≈ 2·I(c;d)·ln 2 for weak correlations, so unlike the
-// min-entropy bound it tracks the true gain to within a small factor.
-// Every product fits float64 integer range for any realistic sample
-// count, so the bound is deterministic across platforms and workers.
-func chiGainBound(ts *topkScratch, i int, with, without []int, nW, nWo int) float64 {
-	hc := ts.h[i]
-	r1, r0 := float64(nW), float64(nWo)
-	sum := 0.0
-	for j, a := range with {
-		e := without[j]
-		s1 := float64(a + e)
-		s0 := r1 + r0 - s1
-		det := float64(a)*(r0-float64(e)) - (r1-float64(a))*float64(e)
-		bound := det * det / (r1 * r0 * s1 * s0) / math.Ln2
-		if hd := ts.h[j]; hd < bound {
-			bound = hd
-		}
-		if hc < bound {
-			bound = hc
-		}
-		sum += bound
-	}
-	return sum
-}
-
-// chiBoundSerial tightens every candidate's upper bound with the χ²
-// pass: blocked subset counts (the same kernel the exact pass uses)
-// followed by the per-pair arithmetic bound.
-func (p *PMN) chiBoundSerial(cp *component, ts *topkScratch) {
-	st := cp.store()
-	nu := len(ts.cand)
-	ts.ensureBlockBufs(nu)
-	for lo := 0; lo < nu; lo += topkBlock {
-		hi := lo + topkBlock
-		if hi > nu {
-			hi = nu
-		}
-		b := hi - lo
-		st.CoCountsBlockInto(ts.cand[lo:hi], ts.ucols, ts.bcols[:b], ts.bwith[:b], ts.bwithout[:b], ts.bn[:b], ts.bno[:b])
-		for bi := 0; bi < b; bi++ {
-			i := lo + bi
-			if ub := chiGainBound(ts, i, ts.bwith[bi], ts.bwithout[bi], ts.bn[bi], ts.bno[bi]); ub < ts.ub[i] {
-				ts.ub[i] = ub
-			}
-		}
-	}
-}
-
-// chiBoundParallel is chiBoundSerial with candidates strided across
-// workers, each with its own count scratch. The bound is a pure
-// function of one candidate's integer counts, so the result does not
-// depend on the worker count or schedule.
-func (p *PMN) chiBoundParallel(cp *component, ts *topkScratch, workers int) {
-	st := cp.store()
-	nu := len(ts.cand)
-	if workers > nu {
-		workers = nu
-	}
-	for w := 0; w < workers; w++ {
-		ts.workerScratch(p, w)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := ts.scr[w]
-			for i := w; i < nu; i += workers {
-				nW, nWo := st.CoCountsSubsetInto(ts.cand[i], ts.ucols, s.with, s.without)
-				if ub := chiGainBound(ts, i, s.with[:nu], s.without[:nu], nW, nWo); ub < ts.ub[i] {
-					ts.ub[i] = ub
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // countTriangle counts the upper triangle (diagonal included) of the
@@ -550,15 +409,13 @@ func (p *PMN) countTriangle(cp *component, ts *topkScratch, workers int, paralle
 		if workers > nu {
 			workers = nu
 		}
-		for w := 0; w < workers; w++ {
-			ts.workerScratch(p, w)
-		}
+		scr := p.workerScratches(cp, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				s := ts.scr[w]
+				s := scr[w]
 				for i := w; i < nu; i += workers {
 					nW, _ := st.CoCountsSubsetInto(ts.cand[i], ts.ucols[i:], ts.cw[i][i:], s.without)
 					ts.marg[i] = nW
@@ -574,10 +431,6 @@ func (p *PMN) countTriangle(cp *component, ts *topkScratch, workers int, paralle
 		}
 	} else {
 		ts.ensureBlockBufs(nu)
-		if ts.trows == nil {
-			ts.trows = make([][]int, topkBlock)
-			ts.twout = make([][]int, topkBlock)
-		}
 		for lo := 0; lo < nu; lo += topkBlock {
 			hi := lo + topkBlock
 			if hi > nu {
@@ -716,10 +569,12 @@ func chiFromMatrix(ts *topkScratch, workers int) {
 // evalMatrixOne computes one candidate's exact gain from its co-count
 // matrix row — entropy sums only, no count pass. The reconstructed
 // without counts and partition totals are the same integers the
-// streaming kernels produce, each entropy term comes from the same
-// persistent memo (its rows hoisted out of the loop: partition totals
-// are fixed per candidate), and the two sums accumulate in the same
-// subset order, so the gain is bit-identical to evalBlockSerial's.
+// exhaustive pass's CoCountsInto produces, and the two sums run over
+// the uncertain, unasserted columns in ascending order: every term the
+// exhaustive partitionEntropyOf adds beyond them is exactly 0.0 (an
+// asserted member is skipped, a certain member's count is 0 or the
+// partition total), and x + 0.0 == x, so the gain is bit-identical to
+// EnsureComponentGains'.
 func (p *PMN) evalMatrixOne(cp *component, ts *topkScratch, s *igScratch, i int) float64 {
 	row := ts.cw[i]
 	nW := ts.marg[i]
@@ -755,7 +610,7 @@ func (p *PMN) evalMatrixOne(cp *component, ts *topkScratch, s *igScratch, i int)
 // disjoint output slots, so results do not depend on the schedule.
 func (p *PMN) evalBlockMatrix(cp *component, ts *topkScratch, lo, hi, workers int, parallel bool) {
 	if !parallel || hi-lo == 1 {
-		s := ts.workerScratch(p, 0)
+		s := p.workerScratches(cp, 1)[0]
 		for _, i := range ts.ord[lo:hi] {
 			ts.gain[i] = p.evalMatrixOne(cp, ts, s, i)
 		}
@@ -764,15 +619,13 @@ func (p *PMN) evalBlockMatrix(cp *component, ts *topkScratch, lo, hi, workers in
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	for w := 0; w < workers; w++ {
-		ts.workerScratch(p, w)
-	}
+	scr := p.workerScratches(cp, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := ts.scr[w]
+			s := scr[w]
 			for bi := lo + w; bi < hi; bi += workers {
 				i := ts.ord[bi]
 				ts.gain[i] = p.evalMatrixOne(cp, ts, s, i)
@@ -782,80 +635,13 @@ func (p *PMN) evalBlockMatrix(cp *component, ts *topkScratch, lo, hi, workers in
 	wg.Wait()
 }
 
-// evalBlockSerial evaluates ord[lo:hi] through the batched
-// CoCountsBlockInto kernel: one sweep over the subset columns serves
-// the whole block.
-func (p *PMN) evalBlockSerial(cp *component, ts *topkScratch, lo, hi int) {
-	st := cp.store()
-	nu := len(ts.cand)
-	b := hi - lo
-	ts.ensureBlockBufs(nu)
-	s := ts.workerScratch(p, 0)
-	cands := ts.bcand[:0]
-	for _, i := range ts.ord[lo:hi] {
-		cands = append(cands, ts.cand[i])
+// rankWorkers is the goroutine bound of the ranking passes:
+// Config.Workers, or GOMAXPROCS when unset.
+func (p *PMN) rankWorkers() int {
+	if p.cfg.Workers > 0 {
+		return p.cfg.Workers
 	}
-	ts.bcand = cands
-	st.CoCountsBlockInto(cands, ts.ucols, ts.bcols[:b], ts.bwith[:b], ts.bwithout[:b], ts.bn[:b], ts.bno[:b])
-	for bi, i := range ts.ord[lo:hi] {
-		pc := p.probs[ts.cand[i]]
-		hPlus := p.partitionEntropySubset(ts.bwith[bi], ts.bn[bi], s)
-		hMinus := p.partitionEntropySubset(ts.bwithout[bi], ts.bno[bi], s)
-		ig := cp.entropy - (pc*hPlus + (1-pc)*hMinus)
-		if ig < 0 {
-			ig = 0
-		}
-		ts.gain[i] = ig
-	}
-}
-
-// evalBlockParallel evaluates ord[lo:hi] with a strided worker shard
-// and per-worker scratch. Counts are integers and the per-candidate
-// arithmetic is identical to the serial kernel, so the results do not
-// depend on the worker count or schedule.
-func (p *PMN) evalBlockParallel(cp *component, ts *topkScratch, lo, hi, workers int) {
-	st := cp.store()
-	nu := len(ts.cand)
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	for w := 0; w < workers; w++ {
-		ts.workerScratch(p, w)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := ts.scr[w]
-			for bi := lo + w; bi < hi; bi += workers {
-				i := ts.ord[bi]
-				c := ts.cand[i]
-				pc := p.probs[c]
-				nW, nWo := st.CoCountsSubsetInto(c, ts.ucols, s.with, s.without)
-				hPlus := p.partitionEntropySubset(s.with[:nu], nW, s)
-				hMinus := p.partitionEntropySubset(s.without[:nu], nWo, s)
-				ig := cp.entropy - (pc*hPlus + (1-pc)*hMinus)
-				if ig < 0 {
-					ig = 0
-				}
-				ts.gain[i] = ig
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// workerScratch returns (allocating on first use) worker w's count
-// buffers.
-func (ts *topkScratch) workerScratch(p *PMN, w int) *igScratch {
-	for len(ts.scr) <= w {
-		ts.scr = append(ts.scr, nil)
-	}
-	if ts.scr[w] == nil {
-		ts.scr[w] = p.newScratch(nil)
-	}
-	return ts.scr[w]
+	return runtime.GOMAXPROCS(0)
 }
 
 // TopGainTies returns the uncertain, unasserted candidates achieving

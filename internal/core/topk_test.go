@@ -11,7 +11,7 @@ import (
 
 // topkTestPMNs builds two PMNs over the same synthetic network with
 // identical seeds — one on the lazy bound-pruned ranking path, one on
-// the exhaustive escape hatch — so any divergence between them is a
+// the exhaustive reference route — so any divergence between them is a
 // pruning bug, not noise.
 func topkTestPMNs(t testing.TB, seed int64, mutate func(*Config)) (pruned, exhaustive *PMN, d *schema.Dataset) {
 	t.Helper()
@@ -67,44 +67,117 @@ func sameTies(a, b []int) bool {
 	return true
 }
 
+// uncertainCounts returns each component's uncertain, unasserted
+// member count — the count computeTopGains compares with the cap.
+func uncertainCounts(p *PMN) []int {
+	out := make([]int, len(p.comps))
+	for _, c := range uncertainUnasserted(p) {
+		out[p.compOf[c]]++
+	}
+	return out
+}
+
 // TestTopGainTiesMatchesExhaustive drives identical assertion schedules
 // through a pruned and an exhaustive PMN and checks after every step
 // that the lazy evaluator returns bit-identical tie sets and gains —
-// the tentpole's exactness guarantee at the core layer. At the end the
-// pruned PMN's on-demand full gain vector must also match bitwise.
+// the lazy ranker's exactness guarantee at the core layer. At the end the
+// pruned PMN's on-demand full gain vector must also match bitwise. It
+// runs at the production cap and at a cap of 3, below the fixtures'
+// larger components (up to 12 uncertain members), where it also checks
+// that some component is ranked above the cap and later below it.
 func TestTopGainTiesMatchesExhaustive(t *testing.T) {
-	for _, seed := range []int64{3, 11, 27} {
-		pr, ex, d := topkTestPMNs(t, seed, nil)
-		schedRng := rand.New(rand.NewSource(seed * 7))
-		for step := 0; ; step++ {
-			gotTies, gotBest := pr.TopGainTies()
-			wantTies, wantBest := exhaustiveTies(ex)
-			if gotBest != wantBest || !sameTies(gotTies, wantTies) {
-				t.Fatalf("seed %d step %d: pruned (ties=%v gain=%v) != exhaustive (ties=%v gain=%v)",
-					seed, step, gotTies, gotBest, wantTies, wantBest)
+	oldCap := TopkMatrixCap
+	defer func() { TopkMatrixCap = oldCap }()
+	for _, matrixCap := range []int{oldCap, 3} {
+		TopkMatrixCap = matrixCap
+		crossed := false
+		for _, seed := range []int64{3, 11, 27} {
+			pr, ex, d := topkTestPMNs(t, seed, nil)
+			schedRng := rand.New(rand.NewSource(seed * 7))
+			wasAbove := make([]bool, len(pr.comps))
+			for step := 0; ; step++ {
+				for k, n := range uncertainCounts(pr) {
+					if n > matrixCap {
+						wasAbove[k] = true
+					} else if n > 0 && wasAbove[k] {
+						crossed = true
+					}
+				}
+				gotTies, gotBest := pr.TopGainTies()
+				wantTies, wantBest := exhaustiveTies(ex)
+				if gotBest != wantBest || !sameTies(gotTies, wantTies) {
+					t.Fatalf("cap %d seed %d step %d: pruned (ties=%v gain=%v) != exhaustive (ties=%v gain=%v)",
+						matrixCap, seed, step, gotTies, gotBest, wantTies, wantBest)
+				}
+				if len(wantTies) == 0 {
+					break
+				}
+				// Assert a tie member (sometimes the head, sometimes a random
+				// one) so the schedule exercises re-ranking of the hot
+				// component and drift-bound reuse on the rest.
+				c := wantTies[schedRng.Intn(len(wantTies))]
+				approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
+				if err := pr.Assert(c, approve); err != nil {
+					t.Fatal(err)
+				}
+				if err := ex.Assert(c, approve); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if len(wantTies) == 0 {
-				break
-			}
-			// Assert a tie member (sometimes the head, sometimes a random
-			// one) so the schedule exercises re-ranking of the hot
-			// component and drift-bound reuse on the rest.
-			c := wantTies[schedRng.Intn(len(wantTies))]
-			approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
-			if err := pr.Assert(c, approve); err != nil {
-				t.Fatal(err)
-			}
-			if err := ex.Assert(c, approve); err != nil {
-				t.Fatal(err)
+			prGains, exGains := pr.InformationGains(), ex.InformationGains()
+			for c := range exGains {
+				if prGains[c] != exGains[c] {
+					t.Fatalf("cap %d seed %d: final gain vector diverges at %d: %v != %v",
+						matrixCap, seed, c, prGains[c], exGains[c])
+				}
 			}
 		}
-		prGains, exGains := pr.InformationGains(), ex.InformationGains()
-		for c := range exGains {
-			if prGains[c] != exGains[c] {
-				t.Fatalf("seed %d: final gain vector diverges at %d: %v != %v",
-					seed, c, prGains[c], exGains[c])
+		if matrixCap < oldCap && !crossed {
+			t.Fatalf("cap %d: no component was ranked both above and below the cap", matrixCap)
+		}
+	}
+}
+
+// TestEnsureComponentGainsWorkersIdentical: the exhaustive pass shards
+// a component's members across workers; every component's gains must
+// be bit-identical at Workers 1 and 4, on a fresh PMN and after each
+// assertion. rankParallelMin is lowered so the small components shard
+// too.
+func TestEnsureComponentGainsWorkersIdentical(t *testing.T) {
+	oldMin := rankParallelMin
+	rankParallelMin = 2
+	defer func() { rankParallelMin = oldMin }()
+
+	serial, _, d := topkTestPMNs(t, 9, func(c *Config) { c.Workers = 1 })
+	par, _, _ := topkTestPMNs(t, 9, func(c *Config) { c.Workers = 4 })
+	sharded := false
+	for step := 0; step < 64; step++ {
+		for k := range serial.comps {
+			serial.EnsureComponentGains(k)
+			par.EnsureComponentGains(k)
+			sharded = sharded || len(par.comps[k].rankScratch) > 1
+		}
+		for c := range serial.gains {
+			if serial.gains[c] != par.gains[c] {
+				t.Fatalf("step %d cand %d: workers=1 gain %v, workers=4 gain %v",
+					step, c, serial.gains[c], par.gains[c])
 			}
 		}
+		u := uncertainUnasserted(serial)
+		if len(u) == 0 {
+			break
+		}
+		c := u[step%len(u)]
+		approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
+		if err := serial.Assert(c, approve); err != nil {
+			t.Fatal(err)
+		}
+		if err := par.Assert(c, approve); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sharded {
+		t.Fatal("no component was ranked by more than one worker")
 	}
 }
 

@@ -2,9 +2,8 @@ package core
 
 import (
 	"math"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // BinaryEntropy returns −p·log₂p − (1−p)·log₂(1−p), the entropy of one
@@ -28,10 +27,11 @@ func EntropyOf(probs []float64) float64 {
 	return h
 }
 
-// igScratch holds the per-worker buffers of the ranking pass: the
-// batched co-occurrence counts of one candidate (column-indexed within
-// its component's store), a memo table of partition entropies, and the
-// hoisted asserted-candidate mask (global-indexed).
+// igScratch holds the per-worker buffers of a gain computation: the
+// co-occurrence counts of one candidate and memo tables of partition
+// entropies. The per-pass tab and the hoisted asserted-candidate mask
+// (global-indexed) serve the single-candidate queries
+// (condEntropyComp); the ranking passes use etab.
 type igScratch struct {
 	with     []int
 	without  []int
@@ -41,10 +41,11 @@ type igScratch struct {
 	// etab[total][cnt] is a persistent memo of BinaryEntropy(cnt/total)
 	// — a pure function of the integer pair, so entries never
 	// invalidate and survive across passes, assertions, and refills.
-	// The per-pass tab above amortizes log2 within one large partition;
-	// etab amortizes it across the lazy evaluator's many small subset
-	// partitions, whose (cnt, total) pairs repeat heavily from step to
-	// step. Scratches are per-worker, so lazy fills never race.
+	// The per-pass tab above amortizes log2 within one partition of a
+	// single-candidate query; etab amortizes it across the ranking
+	// passes' many partitions, whose (cnt, total) pairs repeat heavily
+	// from candidate to candidate and step to step. Scratches are
+	// per-worker, so memo fills never race.
 	etab [][]float64
 }
 
@@ -67,25 +68,23 @@ func (s *igScratch) etabRow(total int) []float64 {
 	return row
 }
 
-// binEntAt returns BinaryEntropy(cnt/total) through the persistent
-// memo: the value is computed by the identical expression on a miss,
-// so a hit is bit-for-bit the same float64 the direct call returns.
-func (s *igScratch) binEntAt(cnt, total int) float64 {
-	row := s.etabRow(total)
-	if v := row[cnt]; v >= 0 {
-		return v // BinaryEntropy is non-negative; -1 marks unset
-	}
-	v := BinaryEntropy(float64(cnt) / float64(total))
-	row[cnt] = v
-	return v
-}
-
 func (p *PMN) newScratch(asserted []bool) *igScratch {
 	return &igScratch{
 		with:     make([]int, p.maxComp),
 		without:  make([]int, p.maxComp),
 		asserted: asserted,
 	}
+}
+
+// workerScratches returns the component's first n per-worker ranking
+// scratches, allocating missing ones. Both ranking passes (the
+// exhaustive EnsureComponentGains and the lazy top-k evaluator) use
+// them, so they also share the persistent entropy memo.
+func (p *PMN) workerScratches(cp *component, n int) []*igScratch {
+	for len(cp.rankScratch) < n {
+		cp.rankScratch = append(cp.rankScratch, p.newScratch(nil))
+	}
+	return cp.rankScratch[:n]
 }
 
 // assertedMask hoists feedback.IsAsserted out of the ranking inner loop
@@ -98,63 +97,79 @@ func (p *PMN) assertedMask() []bool {
 	return out
 }
 
-// componentAsserted refreshes a universe-sized asserted mask from one
-// component's feedback masks instead of the global history: the ranking
-// pass only ever probes member indices, and the component masks are
-// readable under the component's own lock — no PMN-global state is
-// touched, which is what lets a concurrent serving layer re-rank one
-// component while another component's feedback is being recorded.
-func (p *PMN) componentAsserted(cp *component, out []bool) []bool {
-	if out == nil {
-		out = make([]bool, len(p.probs))
-	} else if cp.members == nil {
-		clear(out)
-	} else {
-		// Only member entries can be set; resetting just those keeps the
-		// refresh O(component).
-		for _, c := range cp.members {
-			out[c] = false
-		}
-	}
-	mark := func(c int) bool { out[c] = true; return true }
-	cp.approved.ForEach(mark)
-	cp.disapproved.ForEach(mark)
-	return out
-}
-
 // EnsureComponentGains re-ranks component k's cached information gains
-// if an assertion staleness-marked them. The pass is sequential (the
-// concurrent serving layer draws its parallelism from components, not
-// from within one component) and reads only component-local state, so
-// calls for different components may run concurrently; calls for the
-// same component must be serialized by the caller. The serial
-// InformationGains path computes identical values.
+// if an assertion staleness-marked them: the exhaustive pass, one
+// columnar count pass per uncertain member. The counts and entropy sums
+// run over the uncertain, unasserted columns only: every other term of
+// the partition entropies is exactly 0.0 (an asserted member is
+// skipped, a certain member's count is 0 or the partition total), and
+// x + 0.0 == x, so each gain is bit-identical to InformationGain's sum
+// over every column at a fraction of the work. From rankParallelMin
+// uncertain members on, the members are strided across Config.Workers
+// goroutines with per-worker scratch the component keeps; each gain is
+// a pure function of component state written to its own slot, so the
+// result does not depend on the worker count or schedule. The pass
+// reads only component-local state, so calls for different components
+// may run concurrently; calls for the same component must be
+// serialized by the caller.
 func (p *PMN) EnsureComponentGains(k int) {
 	if !p.gainsStale[k] {
 		return
 	}
 	cp := p.comps[k]
-	if cp.rankScratch == nil {
-		cp.rankScratch = p.newScratch(nil)
-	}
-	s := cp.rankScratch
-	s.asserted = p.componentAsserted(cp, s.asserted)
-	rank := func(c int) {
+	pending, cols := cp.rankPending[:0], cp.rankCols[:0]
+	collect := func(j, c int) {
 		p.gains[c] = 0
 		if pc := p.probs[c]; pc > 0 && pc < 1 {
-			if ig := cp.entropy - p.condEntropyComp(cp, c, s); ig > 0 {
-				p.gains[c] = ig
+			pending = append(pending, c)
+			if !cp.isAsserted(c) {
+				cols = append(cols, j)
 			}
 		}
 	}
 	if cp.members == nil {
 		for c := range p.probs {
-			rank(c)
+			collect(c, c)
 		}
 	} else {
-		for _, c := range cp.members {
-			rank(c)
+		for j, c := range cp.members {
+			collect(j, c)
 		}
+	}
+	cp.rankPending, cp.rankCols = pending, cols
+
+	workers := min(p.rankWorkers(), len(pending))
+	if len(pending) < rankParallelMin {
+		workers = 1
+	}
+	scr := p.workerScratches(cp, workers)
+	st := cp.store()
+	nu := len(cols)
+	rank := func(w int) {
+		s := scr[w]
+		for i := w; i < len(pending); i += workers {
+			c := pending[i]
+			pc := p.probs[c]
+			nW, nWo := st.CoCountsSubsetInto(c, cols, s.with, s.without)
+			hPlus := entropySum(s.with[:nu], nW, s)
+			hMinus := entropySum(s.without[:nu], nWo, s)
+			if ig := cp.entropy - (pc*hPlus + (1-pc)*hMinus); ig > 0 {
+				p.gains[c] = ig
+			}
+		}
+	}
+	if workers <= 1 {
+		rank(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rank(w)
+			}(w)
+		}
+		wg.Wait()
 	}
 	p.gainsStale[k] = false
 }
@@ -226,27 +241,21 @@ func (p *PMN) partitionEntropyOf(comp *component, counts []int, total int, s *ig
 	return h
 }
 
-// partitionEntropySubset is partitionEntropyOf restricted to a
-// pre-filtered subset of columns: the caller (the lazy top-k
-// evaluator) has already excluded asserted and certain members, so no
-// per-term mask probe or member dereference is needed. Every excluded
-// term is exactly 0.0 — asserted members are skipped by
-// partitionEntropyOf too, and a certain member's count is exactly 0 or
-// total in either sub-population, where BinaryEntropy returns 0.0 —
-// and x + 0.0 == x in IEEE arithmetic, so with counts listed in the
-// same (ascending-column) order the sum is bit-identical to the full
-// pass over the component.
-// The terms come from the persistent binEntAt memo rather than the
-// per-pass table: subset partitions are small (the uncertain set), so
-// a per-call table reset would dominate, while the (cnt, total) pairs
-// repeat across candidates and steps.
-func (p *PMN) partitionEntropySubset(counts []int, total int, s *igScratch) float64 {
+// entropySum adds BinaryEntropy(cnt/total) over one partition's counts
+// through the scratch's persistent memo.
+func entropySum(counts []int, total int, s *igScratch) float64 {
 	if total == 0 {
 		return 0
 	}
+	row := s.etabRow(total)
 	h := 0.0
 	for _, cnt := range counts {
-		h += s.binEntAt(cnt, total)
+		v := row[cnt]
+		if v < 0 {
+			v = BinaryEntropy(float64(cnt) / float64(total))
+			row[cnt] = v
+		}
+		h += v
 	}
 	return h
 }
@@ -285,96 +294,14 @@ func (p *PMN) InformationGain(c int) float64 {
 	return ig
 }
 
-// igChunk is how many uncertain candidates a ranking worker claims per
-// atomic fetch-add; the per-candidate cost is uniform (one columnar
-// count pass), so small chunks balance well without contention.
-const igChunk = 8
-
 // InformationGains returns IG(c) for every candidate. Information gain
 // is component-local, so the PMN caches the gain vector and an
 // assertion staleness-marks only its own component: each call re-ranks
-// just the stale components' uncertain members — O(touched component),
-// not O(network), per pay-as-you-go step — sharding them across
-// Config.Workers goroutines (default GOMAXPROCS). The per-candidate
-// computations read only the owning component's columnar matrix and
-// the probability vector, so workers never contend.
+// just the stale components (EnsureComponentGains) — O(touched
+// component), not O(network), per pay-as-you-go step.
 func (p *PMN) InformationGains() []float64 {
-	// Collect the uncertain members of stale components, resetting the
-	// stale components' cached gains (certain candidates rank 0).
-	var pending []int
-	for k, comp := range p.comps {
-		if !p.gainsStale[k] {
-			continue
-		}
-		reset := func(c int) {
-			p.gains[c] = 0
-			if pc := p.probs[c]; pc > 0 && pc < 1 {
-				pending = append(pending, c)
-			}
-		}
-		if comp.members == nil {
-			for c := range p.probs {
-				reset(c)
-			}
-		} else {
-			for _, c := range comp.members {
-				reset(c)
-			}
-		}
-		p.gainsStale[k] = false
+	for k := range p.comps {
+		p.EnsureComponentGains(k)
 	}
-
-	out := make([]float64, len(p.gains))
-	if len(pending) == 0 {
-		copy(out, p.gains)
-		return out
-	}
-
-	workers := p.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (len(pending) + igChunk - 1) / igChunk; workers > max {
-		workers = max
-	}
-
-	asserted := p.assertedMask()
-	rank := func(s *igScratch, c int) {
-		comp := p.comps[p.compOf[c]]
-		if ig := comp.entropy - p.condEntropyComp(comp, c, s); ig > 0 {
-			p.gains[c] = ig
-		}
-	}
-	if workers <= 1 {
-		s := p.newScratch(asserted)
-		for _, c := range pending {
-			rank(s, c)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := p.newScratch(asserted)
-				for {
-					lo := int(next.Add(igChunk)) - igChunk
-					if lo >= len(pending) {
-						return
-					}
-					hi := lo + igChunk
-					if hi > len(pending) {
-						hi = len(pending)
-					}
-					for _, c := range pending[lo:hi] {
-						rank(s, c)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	copy(out, p.gains)
-	return out
+	return slices.Clone(p.gains)
 }

@@ -91,6 +91,11 @@ func DecodeDataset(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("schema: duplicate schema name %q", sj.Name)
 		}
 		id := b.AddSchema(sj.Name, sj.Attributes...)
+		if b.err != nil {
+			// A rejected attribute (empty or duplicate name) is skipped, so
+			// the schema's Attrs no longer line up with the input.
+			return nil, b.err
+		}
 		schemaIDs[sj.Name] = id
 		for j, an := range sj.Attributes {
 			attrIDs[sj.Name+"."+an] = b.schemas[id].Attrs[j]

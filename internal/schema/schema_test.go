@@ -317,6 +317,22 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadAttributes: an attribute name the builder
+// rejects (empty or duplicate) must surface as the decoder's error; it
+// once shifted the attribute indexing and panicked.
+func TestDecodeRejectsBadAttributes(t *testing.T) {
+	for js, want := range map[string]string{
+		`{"schemas":[{"name":"S","attributes":[""]}]}`:         "empty attribute name",
+		`{"schemas":[{"name":"S","attributes":["a","a"]}]}`:    `duplicate attribute "a"`,
+		`{"schemas":[{"name":"S","attributes":["a","","b"]}]}`: "empty attribute name",
+	} {
+		_, err := DecodeDataset(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to mention %q", js, err, want)
+		}
+	}
+}
+
 func TestDescribeCandidate(t *testing.T) {
 	net, _, _, _ := videoNetwork(t)
 	s := net.DescribeCandidate(0)

@@ -191,11 +191,6 @@ type Options struct {
 	// 0 means a built-in default under "auto" and unlimited under
 	// "exact". Negative values are rejected by NewSession.
 	ExactBudget int
-	// Exact is the legacy switch for Inference: "exact" with an
-	// unbounded budget — exact probabilities per Equation 1, feasible
-	// only for small networks. Setting both Exact and a conflicting
-	// Inference string is an error.
-	Exact bool
 	// InstantiateIterations bounds the local search of Instantiate
 	// (default 200).
 	InstantiateIterations int
@@ -204,20 +199,14 @@ type Options struct {
 	// "least-certain", or "by-confidence".
 	Strategy string
 	// Workers bounds the goroutines of the information-gain ranking
-	// pass that backs Suggest — both the global pass and the
-	// intra-component sharding of the lazy top-k evaluator. 0 uses all
-	// CPUs (GOMAXPROCS); 1 forces a sequential pass. Assertions and
-	// instantiation are unaffected.
+	// passes that back Suggest, which shard one component's uncertain
+	// members. 0 uses all CPUs (GOMAXPROCS); 1 forces a sequential
+	// pass. Assertions and instantiation are unaffected.
 	Workers int
-	// ExhaustiveRank disables the lazy bound-pruned top-k suggestion
-	// ranking and restores the legacy exhaustive gain pass. The two
-	// paths return bit-identical suggestions, tie sets, and gain values
-	// (see DESIGN.md, "Lazy top-k ranking"); the switch exists for
-	// differential testing and as an escape hatch.
-	ExhaustiveRank bool
 	// ExclusivePairs declares attribute pairs that must never be matched
 	// together (a custom MutualExclusion constraint on top of the
-	// paper's Γ).
+	// paper's Γ). Each entry must name two distinct attributes of the
+	// network; NewSession rejects any other.
 	ExclusivePairs [][2]AttrID
 	// InterpretedConstraints switches the session to the interpreted
 	// reference constraint engine instead of the compiled conflict index
@@ -231,13 +220,17 @@ type Options struct {
 	// matching network keeps one global sample space instead of one per
 	// constraint-connected component (see DESIGN.md, "Component
 	// decomposition"). The two paths are equivalent — identical
-	// probabilities under Exact, statistically equivalent estimates when
-	// sampling — but the decomposed path makes each assertion pay only
-	// for its own component. The switch exists for differential testing
-	// and debugging.
+	// probabilities under exact inference, statistically equivalent
+	// estimates when sampling — but the decomposed path makes each
+	// assertion pay only for its own component. The switch exists for
+	// differential testing and debugging.
 	Monolithic bool
 	// Seed makes the session deterministic.
 	Seed int64
+
+	// exhaustiveRank selects the core's exhaustive reference ranking
+	// (core.Config.ExhaustiveRank); set only by tests, see export_test.go.
+	exhaustiveRank bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -257,10 +250,11 @@ func (o *Options) withDefaults() Options {
 // validate rejects option values that previously flowed into the core
 // configuration unchecked and produced silent misbehavior (a negative
 // Samples count disabled resampling entirely, a negative worker bound
-// fell back to GOMAXPROCS by accident rather than by contract). The
+// fell back to GOMAXPROCS by accident rather than by contract, an
+// ExclusivePairs entry naming an unknown attribute was ignored). The
 // serving layer owns input validation: core packages may assume a
 // well-formed configuration.
-func (o *Options) validate() error {
+func (o *Options) validate(net *Network) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -286,30 +280,31 @@ func (o *Options) validate() error {
 		return fmt.Errorf("schemanet: Options.MinSamples (%d) must not exceed Options.MaxSamples (%d)",
 			o.MinSamples, o.MaxSamples)
 	}
+	for i, p := range o.ExclusivePairs {
+		for _, a := range p {
+			if a < 0 || int(a) >= net.NumAttributes() {
+				return fmt.Errorf("schemanet: Options.ExclusivePairs[%d] names attribute %d, outside the network's %d attributes",
+					i, a, net.NumAttributes())
+			}
+		}
+		if p[0] == p[1] {
+			return fmt.Errorf("schemanet: Options.ExclusivePairs[%d] pairs attribute %d with itself", i, p[0])
+		}
+	}
 	return nil
 }
 
-// inferenceMode resolves the Inference string and the legacy Exact
-// switch into the core mode.
+// inferenceMode resolves the Inference string into the core mode.
 func (o *Options) inferenceMode() (core.InferenceMode, error) {
-	var mode core.InferenceMode
 	switch o.Inference {
 	case "", "auto":
-		mode = core.InferAuto
+		return core.InferAuto, nil
 	case "sampled":
-		mode = core.InferSampled
+		return core.InferSampled, nil
 	case "exact":
-		mode = core.InferExact
-	default:
-		return 0, fmt.Errorf("schemanet: unknown inference mode %q (want \"auto\", \"sampled\", or \"exact\")", o.Inference)
+		return core.InferExact, nil
 	}
-	if o.Exact {
-		if o.Inference != "" && o.Inference != "exact" {
-			return 0, fmt.Errorf("schemanet: Options.Exact conflicts with Options.Inference = %q", o.Inference)
-		}
-		mode = core.InferExact
-	}
-	return mode, nil
+	return 0, fmt.Errorf("schemanet: unknown inference mode %q (want \"auto\", \"sampled\", or \"exact\")", o.Inference)
 }
 
 // Session is a pay-as-you-go reconciliation session over one network:
@@ -387,7 +382,7 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
 	}
 	o := opts.withDefaults()
-	if err := o.validate(); err != nil {
+	if err := o.validate(net); err != nil {
 		return nil, err
 	}
 	// The session owns a private copy of the network: the topology
@@ -446,7 +441,7 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	cfg.ExactBudget = o.ExactBudget
 	cfg.Workers = o.Workers
 	cfg.Monolithic = o.Monolithic
-	cfg.ExhaustiveRank = o.ExhaustiveRank
+	cfg.ExhaustiveRank = o.exhaustiveRank
 
 	rng := rand.New(rand.NewSource(o.Seed))
 	pmn, err := core.New(engine, cfg, rng)

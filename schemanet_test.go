@@ -49,7 +49,7 @@ func videoNet(t testing.TB) (*schemanet.Network, *schemanet.Matching) {
 
 func TestSessionEndToEnd(t *testing.T) {
 	net, truth := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 1})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionEndToEnd(t *testing.T) {
 
 func TestSessionInstantiateBeforeAnyFeedback(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 2})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSessionRequiresConstraints(t *testing.T) {
 
 func TestSessionDescribe(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSessionDescribe(t *testing.T) {
 
 func TestSessionDoubleAssertFails(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,48 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 	}
 	// Valid positive values still pass.
 	if _, err := schemanet.NewSession(net, &schemanet.Options{
-		Samples: 50, Workers: 2, StagnationLimit: 64, Exact: true,
+		Samples: 50, Workers: 2, StagnationLimit: 64, Inference: "exact",
 	}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
+	}
+}
+
+// TestSessionRejectsInvalidExclusivePairs: an ExclusivePairs entry
+// naming an attribute outside the network, or pairing an attribute with
+// itself, used to be accepted and ignored; NewSession must reject it
+// with an error naming the field.
+func TestSessionRejectsInvalidExclusivePairs(t *testing.T) {
+	net, _ := videoNet(t)
+	na := schemanet.AttrID(net.NumAttributes())
+	cases := []struct {
+		name  string
+		pairs [][2]schemanet.AttrID
+		want  string
+	}{
+		{"negative", [][2]schemanet.AttrID{{-1, 2}}, "outside the network"},
+		{"past-end", [][2]schemanet.AttrID{{2, na}}, "outside the network"},
+		{"second-entry", [][2]schemanet.AttrID{{2, 3}, {na + 5, 0}}, "ExclusivePairs[1]"},
+		{"self-pair", [][2]schemanet.AttrID{{3, 3}}, "with itself"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := &schemanet.Options{ExclusivePairs: tc.pairs}
+			for _, open := range []func() error{
+				func() error { _, err := schemanet.NewSession(net, opts); return err },
+				func() error { _, err := schemanet.NewConcurrentSession(net, opts); return err },
+			} {
+				err := open()
+				if err == nil || !strings.Contains(err.Error(), "ExclusivePairs") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want one naming ExclusivePairs and %q", err, tc.want)
+				}
+			}
+		})
+	}
+	// The boundary attributes themselves are valid.
+	if _, err := schemanet.NewSession(net, &schemanet.Options{
+		ExclusivePairs: [][2]schemanet.AttrID{{0, na - 1}},
+	}); err != nil {
+		t.Fatalf("valid pair rejected: %v", err)
 	}
 }
 
@@ -191,7 +230,7 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 // bare index-out-of-range.
 func TestSessionUnknownCandidate(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 6})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +294,7 @@ func TestMatchThroughFacade(t *testing.T) {
 func TestSessionStrategyOption(t *testing.T) {
 	net, truth := videoNet(t)
 	for _, name := range []string{"", "info-gain", "random", "least-certain", "by-confidence"} {
-		s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Strategy: name, Seed: 4})
+		s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Strategy: name, Seed: 4})
 		if err != nil {
 			t.Fatalf("strategy %q: %v", name, err)
 		}
@@ -278,7 +317,7 @@ func TestSessionExclusivePairs(t *testing.T) {
 	// 2 releaseDate, 3 screenDate) exclusive with screenDate forbids
 	// instances covering both.
 	s, err := schemanet.NewSession(net, &schemanet.Options{
-		Exact:          true,
+		Inference:      "exact",
 		Seed:           5,
 		ExclusivePairs: [][2]schemanet.AttrID{{2, 3}},
 	})

@@ -3,10 +3,11 @@ package schemanet_test
 // Differential tests for the lazy bound-pruned top-k suggestion
 // ranking: on every session surface (plain, concurrent, durable) the
 // pruned path must produce suggestions, probabilities, and uncertainty
-// bit-identical to Options.ExhaustiveRank — over randomized
-// assert/grow/retire interleavings, since topology changes carry or
-// invalidate the evaluator's cached bounds. This file runs under
-// `go test -race` in CI.
+// bit-identical to the exhaustive reference ranking (WithExhaustiveRank)
+// — over randomized assert/grow/retire interleavings, since topology
+// changes carry or invalidate the evaluator's cached bounds — on both
+// sides of the co-count-matrix cap. This file runs under `go test
+// -race` in CI.
 
 import (
 	"math/rand"
@@ -53,14 +54,19 @@ func growthPair(net *schemanet.Network, cursor *int) (schemanet.Correspondence, 
 // suggest/assert steps, candidate arrivals, and retirements against a
 // pruned and an exhaustive session, failing on the first divergence in
 // suggestions; at the end every probability must match bitwise.
+// observe, when non-nil, sees the live asserted and retired sets before
+// every step.
 func driveDifferential(t *testing.T, pruned, exhaustive suggester,
-	truth *schemanet.Matching, steps int, seed int64) {
+	truth *schemanet.Matching, steps int, seed int64, observe func(asserted, retired map[int]bool)) {
 	t.Helper()
 	sched := rand.New(rand.NewSource(seed))
 	prCursor, exCursor := 0, 0
 	asserted := map[int]bool{}
 	retired := map[int]bool{}
 	for step := 0; step < steps; step++ {
+		if observe != nil {
+			observe(asserted, retired)
+		}
 		switch op := sched.Intn(12); {
 		case op == 0:
 			// Grow: the same fresh candidate arrives on both sessions.
@@ -124,67 +130,133 @@ func driveDifferential(t *testing.T, pruned, exhaustive suggester,
 }
 
 func topkOptions(exhaustive bool, workers int) *schemanet.Options {
-	return &schemanet.Options{
-		Seed: 7, Samples: 150, Inference: "sampled",
-		Workers: workers, ExhaustiveRank: exhaustive,
+	o := schemanet.Options{Seed: 7, Samples: 150, Inference: "sampled", Workers: workers}
+	if exhaustive {
+		return schemanet.WithExhaustiveRank(o)
 	}
+	return &o
+}
+
+// lowTopkCap is the lowered co-count-matrix cap of the differential
+// runs: below the largest uncertain-member counts of the fixtures'
+// components (30–36 at C=240, 14–24 at C=160), so those components
+// start on the exhaustive route and cross under the cap as assertions
+// resolve them.
+const lowTopkCap = 12
+
+// forEachTopkCap runs f at the production cap, which every fixture
+// component stays under, and at lowTopkCap.
+func forEachTopkCap(t *testing.T, f func(t *testing.T, lowered bool)) {
+	t.Run("cap=default", func(t *testing.T) { f(t, false) })
+	t.Run("cap=low", func(t *testing.T) {
+		schemanet.SetTopkMatrixCap(t, lowTopkCap)
+		f(t, true)
+	})
 }
 
 // TestSuggestPrunedMatchesExhaustivePlain: the plain Session surface.
+// At the lowered cap it also checks that the run really crosses the
+// cap: some component is ranked above it, and later every uncertain
+// component fits under it.
 func TestSuggestPrunedMatchesExhaustivePlain(t *testing.T) {
-	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewSession(d.Network, topkOptions(false, 0))
-	if err != nil {
-		t.Fatal(err)
+	forEachTopkCap(t, func(t *testing.T, lowered bool) {
+		d := benchMultiComponentDataset(t, 240, 4)
+		pr, err := schemanet.NewSession(d.Network, topkOptions(false, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := schemanet.NewSession(d.Network, topkOptions(true, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var above, crossed bool
+		observe := func(asserted, retired map[int]bool) {
+			largest := 0
+			for _, n := range uncertainPerComponent(t, pr, asserted, retired) {
+				largest = max(largest, n)
+			}
+			switch {
+			case largest > lowTopkCap:
+				above = true
+			case largest > 0 && above:
+				crossed = true
+			}
+		}
+		if !lowered {
+			observe = nil
+		}
+		driveDifferential(t, pr, ex, d.GroundTruth, 160, 3, observe)
+		if lowered && !crossed {
+			t.Fatalf("no component crossed the cap of %d (ranked above it: %v)", lowTopkCap, above)
+		}
+	})
+}
+
+// uncertainPerComponent counts each component's uncertain, unasserted,
+// live members — the count the ranker compares with the matrix cap.
+func uncertainPerComponent(t *testing.T, s *schemanet.Session, asserted, retired map[int]bool) []int {
+	t.Helper()
+	counts := make([]int, s.Components())
+	for c := 0; c < s.Network().NumCandidates(); c++ {
+		if asserted[c] || retired[c] {
+			continue
+		}
+		if p := mustProb(t, s, c); p > 0 && p < 1 {
+			k, err := s.ComponentOf(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[k]++
+		}
 	}
-	ex, err := schemanet.NewSession(d.Network, topkOptions(true, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveDifferential(t, pr, ex, d.GroundTruth, 160, 3)
+	return counts
 }
 
 // TestSuggestPrunedMatchesExhaustiveConcurrent: the concurrent surface,
 // where lazy ranking composes with coalesced snapshot publication and
 // the entropy-ordered component skip.
 func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
-	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := schemanet.NewConcurrentSession(d.Network, topkOptions(true, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveDifferential(t, pr, ex, d.GroundTruth, 160, 11)
-	if ph, eh := pr.Uncertainty(), ex.Uncertainty(); ph != eh {
-		t.Fatalf("H: pruned %v != exhaustive %v", ph, eh)
-	}
+	forEachTopkCap(t, func(t *testing.T, _ bool) {
+		d := benchMultiComponentDataset(t, 240, 4)
+		pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := schemanet.NewConcurrentSession(d.Network, topkOptions(true, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveDifferential(t, pr, ex, d.GroundTruth, 160, 11, nil)
+		if ph, eh := pr.Uncertainty(), ex.Uncertainty(); ph != eh {
+			t.Fatalf("H: pruned %v != exhaustive %v", ph, eh)
+		}
+	})
 }
 
 // TestSuggestPrunedMatchesExhaustiveDurable: the durable surface — the
 // WAL-backed session delegates serving to the concurrent layer, so the
 // lazy path must survive the record/replay plumbing too.
 func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
-	d := benchMultiComponentDataset(t, 160, 4)
-	open := func(name string, exhaustive bool) *schemanet.DurableSession {
-		st, err := schemanet.OpenStore(name, d.Network, &schemanet.StoreOptions{
-			Session: topkOptions(exhaustive, 2), FS: wal.NewMemFS(),
-		})
-		if err != nil {
-			t.Fatal(err)
+	forEachTopkCap(t, func(t *testing.T, _ bool) {
+		d := benchMultiComponentDataset(t, 160, 4)
+		open := func(name string, exhaustive bool) *schemanet.DurableSession {
+			st, err := schemanet.OpenStore(name, d.Network, &schemanet.StoreOptions{
+				Session: topkOptions(exhaustive, 2), FS: wal.NewMemFS(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			ds, err := st.Session("diff")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
 		}
-		t.Cleanup(func() { st.Close() })
-		ds, err := st.Session("diff")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
-	}
-	pr := open("pruned", false)
-	ex := open("exhaustive", true)
-	driveDifferential(t, pr, ex, d.GroundTruth, 120, 19)
+		pr := open("pruned", false)
+		ex := open("exhaustive", true)
+		driveDifferential(t, pr, ex, d.GroundTruth, 120, 19, nil)
+	})
 }
 
 // TestConcurrentPrunedContention hammers a pruned session with
