@@ -288,7 +288,7 @@ func BenchmarkSessionAssert(b *testing.B) {
 
 // BenchmarkSessionAssertMultiComp measures the suggest+assert step on a
 // multi-component network (≥4 constraint-connected components), with
-// component decomposition on (default) and off (Options.Monolithic) —
+// component decomposition on (default) and off (WithMonolithic) —
 // the head-to-head the component-decomposed PMN is built for: an
 // assertion pays O(component), not O(network).
 func BenchmarkSessionAssertMultiComp(b *testing.B) {
@@ -303,13 +303,13 @@ func BenchmarkSessionAssertMultiComp(b *testing.B) {
 		}
 		for _, mode := range []struct {
 			name string
-			opts schemanet.Options
+			opts *schemanet.Options
 		}{
-			{"decomposed", schemanet.Options{}},
-			{"monolithic", schemanet.Options{Monolithic: true}},
+			{"decomposed", &schemanet.Options{}},
+			{"monolithic", schemanet.WithMonolithic(schemanet.Options{})},
 		} {
 			b.Run(fmt.Sprintf("C=%d/comps=%d/%s", size, s.Components(), mode.name), func(b *testing.B) {
-				benchSessionAssertOpts(b, d, d.Network, mode.opts)
+				benchSessionAssertOpts(b, d, d.Network, *mode.opts)
 			})
 		}
 	}
@@ -369,12 +369,12 @@ func BenchmarkSessionAssertInference(b *testing.B) {
 
 // BenchmarkConcurrentAssertMultiComp measures a component-disjoint
 // assertion schedule (half the candidates, ground-truth answers)
-// applied through the concurrent serving layer by P = GOMAXPROCS
-// goroutines over a worker pool, against the same schedule applied
-// serially through a plain Session — the head-to-head the
-// per-component lock sharding is built for. On GOMAXPROCS=1 hosts the
-// two run the same work on one core and the comparison measures the
-// serving layer's overhead instead of its speedup.
+// applied to one Session by P = GOMAXPROCS goroutines over a worker
+// pool, against the same schedule applied from one goroutine — the
+// head-to-head the per-component lock sharding is built for. On
+// GOMAXPROCS=1 hosts the two run the same work on one core and the
+// comparison measures the worker pool's overhead instead of its
+// speedup.
 func BenchmarkConcurrentAssertMultiComp(b *testing.B) {
 	for _, size := range []int{512, 2048} {
 		d := benchMultiComponentDataset(b, size, 4)
@@ -395,8 +395,7 @@ func BenchmarkConcurrentAssertMultiComp(b *testing.B) {
 			})
 		}
 		name := fmt.Sprintf("C=%d/comps=%d", size, probe.Components())
-		// Plain Session, one goroutine — the pre-serving-layer cost of
-		// the schedule (no snapshot publication, gains ranked lazily).
+		// One goroutine asserting in schedule order.
 		b.Run(name+"/session-serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -414,9 +413,8 @@ func BenchmarkConcurrentAssertMultiComp(b *testing.B) {
 				}
 			}
 		})
-		// The serving layer driven by P goroutines vs one goroutine: the
-		// 1-goroutine run isolates the serving overhead (locking, eager
-		// re-rank, snapshot publication); the P-goroutine run adds the
+		// The worker pool with P goroutines vs one: the 1-goroutine run
+		// isolates the pool's overhead; the P-goroutine run adds the
 		// component parallelism, which pays off at GOMAXPROCS > 1.
 		workerCounts := []int{1}
 		if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -427,7 +425,7 @@ func BenchmarkConcurrentAssertMultiComp(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/serving-%dg", name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					cs, err := schemanet.NewConcurrentSession(d.Network, &schemanet.Options{Seed: int64(i)})
+					cs, err := schemanet.NewSession(d.Network, &schemanet.Options{Seed: int64(i)})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -498,7 +496,7 @@ func benchThroughputGroups(b testing.TB, d *schema.Dataset, stride int) ([][]sch
 // goroutines pulling work units (whole component groups for the
 // disjoint shape, single assertions for the contended one) from a
 // shared counter.
-func runAssertSchedule(b *testing.B, cs *schemanet.ConcurrentSession, units [][]schemanet.Assertion) {
+func runAssertSchedule(b *testing.B, cs *schemanet.Session, units [][]schemanet.Assertion) {
 	b.Helper()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(units) {
@@ -529,15 +527,15 @@ func runAssertSchedule(b *testing.B, cs *schemanet.ConcurrentSession, units [][]
 }
 
 // benchThroughputAssert measures whole-schedule assertion throughput:
-// each iteration replays the full schedule on a fresh concurrent
-// session (built off the clock) and the headline metric is
+// each iteration replays the full schedule on a fresh session (built
+// off the clock) and the headline metric is
 // assertions/sec across all goroutines.
 func benchThroughputAssert(b *testing.B, d *schema.Dataset, units [][]schemanet.Assertion, total int) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cs, err := schemanet.NewConcurrentSession(d.Network, &schemanet.Options{Seed: int64(i)})
+		cs, err := schemanet.NewSession(d.Network, &schemanet.Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -593,7 +591,7 @@ func BenchmarkThroughputAssertContended(b *testing.B) {
 // path's scaling curve.
 func BenchmarkThroughputSuggest(b *testing.B) {
 	d := benchMultiComponentDataset(b, 512, 8)
-	cs, err := schemanet.NewConcurrentSession(d.Network, &schemanet.Options{Seed: 1})
+	cs, err := schemanet.NewSession(d.Network, &schemanet.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

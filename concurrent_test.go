@@ -58,7 +58,7 @@ func TestConcurrentDisjointScheduleMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := schemanet.NewConcurrentSession(net, opts)
+	conc, err := schemanet.NewSession(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestConcurrentBatchMatchesSerialExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 9, Workers: 4})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 9, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestConcurrentBatchMatchesSerialExact(t *testing.T) {
 // turns any snapshot-discipline violation into a failure.
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	net, truth := multiVideoNet(t, 6)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Seed: 3, Samples: 80})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Seed: 3, Samples: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 // unasserted fallback, then report exhaustion.
 func TestConcurrentSuggestDrains(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 5})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestConcurrentSuggestDrains(t *testing.T) {
 func TestConcurrentDeferredRankingFreshReads(t *testing.T) {
 	d := benchMultiComponentDataset(t, 180, 4)
 	net := d.Network
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Seed: 17, Samples: 120})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Seed: 17, Samples: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +296,14 @@ func TestConcurrentDeferredRankingFreshReads(t *testing.T) {
 }
 
 // TestConcurrentSingleComponent covers the trivial-partition path (one
-// lock, whole-universe snapshots) end to end.
+// lock, whole-universe snapshots) end to end: first serially to the
+// truth, then with Suggest, Assert, AssertBatch, and Instantiate
+// running in parallel on a sampled single component — whose sampler
+// draws from the session rng that Suggest's tie-breaks and Instantiate
+// draw from too, so the race detector checks the rng locking.
 func TestConcurrentSingleComponent(t *testing.T) {
 	net, truth := videoNet(t)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 1})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +323,155 @@ func TestConcurrentSingleComponent(t *testing.T) {
 	if trusted.Size() != 3 || trusted.IntersectionSize(truth) != 3 {
 		t.Fatalf("instantiation %v, want the truth triangle", trusted.Pairs())
 	}
+
+	d, _ := benchDataset(t, 64)
+	net = d.Network
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "sampled", Samples: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Components() != 1 {
+		t.Fatalf("components = %d, want 1", s.Components())
+	}
+	n := net.NumCandidates()
+	answer := func(c int) bool { return d.GroundTruth.ContainsCorrespondence(net.Candidate(c)) }
+	// Collisions between the writers are routine and leave no trace.
+	collided := func(err error) bool { return err == nil || errors.Is(err, schemanet.ErrAlreadyAsserted) }
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() { // the even candidates, one at a time
+		defer wg.Done()
+		for c := 0; c < n; c += 2 {
+			if err := s.Assert(c, answer(c)); !collided(err) {
+				t.Errorf("Assert(%d): %v", c, err)
+			}
+		}
+	}()
+	go func() { // the odd candidates, in batches of three
+		defer wg.Done()
+		for c := 1; c < n; c += 6 {
+			var batch []schemanet.Assertion
+			for cc := c; cc < c+6 && cc < n; cc += 2 {
+				batch = append(batch, schemanet.Assertion{Cand: cc, Approved: answer(cc)})
+			}
+			if err := s.AssertBatch(batch); !collided(err) {
+				t.Errorf("AssertBatch at %d: %v", c, err)
+			}
+		}
+	}()
+	go func() { // an expert following the suggestions
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			c, ok := s.Suggest()
+			if !ok {
+				return
+			}
+			if err := s.Assert(c, answer(c)); !collided(err) {
+				t.Errorf("Assert(%d) after Suggest: %v", c, err)
+			}
+		}
+	}()
+	go func() { // a reader instantiating as the feedback grows
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			s.Instantiate()
+		}
+	}()
+	wg.Wait()
+	// Batches that collided left their candidates open: drain them.
+	for {
+		c, ok := s.Suggest()
+		if !ok {
+			break
+		}
+		if err := s.Assert(c, answer(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, e := s.Uncertainty(), s.Effort(); h != 0 || e != 1 {
+		t.Fatalf("after draining: uncertainty %v, effort %v; want 0 and 1", h, e)
+	}
+	if got := s.Instantiate(); got.IntersectionSize(d.GroundTruth) != got.Size() {
+		t.Fatalf("instantiation after full feedback holds %d pairs outside the truth", got.Size()-got.IntersectionSize(d.GroundTruth))
+	}
+}
+
+// TestConcurrentStrategyOption: Options.Strategy holds on a Session
+// driven from several goroutines. Under "by-confidence" each suggestion
+// is the highest-confidence candidate unasserted at that moment, and
+// Suggest reads the feedback under exclusive access — so the recorded
+// history, whatever the interleaving, runs in non-increasing matcher
+// confidence.
+func TestConcurrentStrategyOption(t *testing.T) {
+	d := benchMultiComponentDataset(t, 120, 4)
+	net := d.Network
+	s, err := schemanet.NewSession(net, &schemanet.Options{Strategy: "by-confidence", Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := topConfidence(net, nil)
+	if ig, err := schemanet.NewSession(net, &schemanet.Options{Seed: 6}); err != nil {
+		t.Fatal(err)
+	} else if c, _ := ig.Suggest(); c == top {
+		t.Fatalf("fixture: the info-gain choice %d is also the top-confidence candidate", c)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c, ok := s.Suggest(); !ok || c != top {
+				t.Errorf("first Suggest = (%d, %v), want the top-confidence candidate %d", c, ok, top)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				c, ok := s.Suggest()
+				if !ok {
+					return
+				}
+				err := s.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c)))
+				if err != nil && !errors.Is(err, schemanet.ErrAlreadyAsserted) {
+					t.Errorf("Assert(%d): %v", c, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		History []struct {
+			From string `json:"from"`
+			To   string `json:"to"`
+		} `json:"history"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	conf := make(map[string]float64, net.NumCandidates())
+	for c := 0; c < net.NumCandidates(); c++ {
+		cand := net.Candidate(c)
+		conf[net.FullName(cand.A)+"|"+net.FullName(cand.B)] = cand.Confidence
+	}
+	if len(st.History) < 15 {
+		t.Fatalf("only %d assertions recorded", len(st.History))
+	}
+	for i := 1; i < len(st.History); i++ {
+		prev := conf[st.History[i-1].From+"|"+st.History[i-1].To]
+		cur := conf[st.History[i].From+"|"+st.History[i].To]
+		if cur > prev {
+			t.Fatalf("history entry %d has confidence %v after %v: not the top unasserted candidate", i, cur, prev)
+		}
+	}
 }
 
 // TestConcurrentSessionBadInput: the serving layer must reject — never
@@ -326,7 +479,7 @@ func TestConcurrentSingleComponent(t *testing.T) {
 // malformed batches, all without state changes.
 func TestConcurrentSessionBadInput(t *testing.T) {
 	net, _ := multiVideoNet(t, 2)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 2})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +545,7 @@ func TestConcurrentSessionBadInput(t *testing.T) {
 // in a fully asserted component.
 func TestConcurrentAssertsSameComponentSerialize(t *testing.T) {
 	net, truth := videoNet(t)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +578,7 @@ func TestConcurrentAssertsSameComponentSerialize(t *testing.T) {
 // a working serial session.
 func TestConcurrentSaveRoundTrip(t *testing.T) {
 	net, truth := multiVideoNet(t, 2)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 4})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +609,7 @@ func TestConcurrentSaveRoundTrip(t *testing.T) {
 // critical section). Runs under -race in CI.
 func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 	net, truth := multiVideoNet(t, 4)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
+	conc, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 11, Monolithic: true})
+	mono, err := schemanet.NewSession(net, schemanet.WithMonolithic(schemanet.Options{Inference: "exact", Seed: 11}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +106,47 @@ func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	}
 }
 
+// TestInterpretedMatchesCompiledExact: the interpreted reference
+// constraint engine (which runs undecomposed) and the compiled conflict
+// index compute identical exact probabilities through a full
+// reconciliation.
+func TestInterpretedMatchesCompiledExact(t *testing.T) {
+	net, truth := multiVideoNet(t, 2)
+	compiled, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp, err := schemanet.NewSession(net, schemanet.WithInterpretedConstraints(schemanet.Options{Inference: "exact", Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := interp.Components(); got != 1 {
+		t.Fatalf("interpreted session has %d components, want 1", got)
+	}
+	if cv, iv := compiled.Violations(), interp.Violations(); cv != iv {
+		t.Fatalf("violations: compiled %d, interpreted %d", cv, iv)
+	}
+	for c := -1; c < net.NumCandidates(); c++ {
+		if c >= 0 {
+			approve := truth.ContainsCorrespondence(net.Candidate(c))
+			if err := compiled.Assert(c, approve); err != nil {
+				t.Fatal(err)
+			}
+			if err := interp.Assert(c, approve); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for cc := 0; cc < net.NumCandidates(); cc++ {
+			if cp, ip := mustProb(t, compiled, cc), mustProb(t, interp, cc); cp != ip {
+				t.Fatalf("after %d assertions: p(%d) compiled %v != interpreted %v", c+1, cc, cp, ip)
+			}
+		}
+	}
+	if err := interp.AddSchema("Late", "x"); err == nil {
+		t.Fatal("topology change accepted on the interpreted reference path")
+	}
+}
+
 // TestDecomposedSuggestWorksPerComponent: a decomposed session must
 // reconcile end to end — suggestions drain all components' uncertainty,
 // not just the first component's.
@@ -151,18 +192,21 @@ func TestDecomposedSampledStatisticallyEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []*schemanet.Options{
-		{Seed: 7, Samples: 400},
-		{Seed: 7, Samples: 400, Monolithic: true},
+	for _, tc := range []struct {
+		name string
+		opts *schemanet.Options
+	}{
+		{"decomposed", &schemanet.Options{Seed: 7, Samples: 400}},
+		{"monolithic", schemanet.WithMonolithic(schemanet.Options{Seed: 7, Samples: 400})},
 	} {
-		s, err := schemanet.NewSession(net, opts)
+		s, err := schemanet.NewSession(net, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c := 0; c < net.NumCandidates(); c++ {
 			if got, want := mustProb(t, s, c), mustProb(t, exact, c); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("monolithic=%v: p(%d) = %v, want %v (store should cover all instances)",
-					opts.Monolithic, c, got, want)
+				t.Fatalf("%s: p(%d) = %v, want %v (store should cover all instances)",
+					tc.name, c, got, want)
 			}
 		}
 	}

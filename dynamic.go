@@ -51,15 +51,22 @@ type topoOp struct {
 	to     string // retire
 }
 
-// topoAllowed gates the topology mutators: both debugging switches
-// disable the component machinery incremental maintenance rides on.
-func (s *Session) topoAllowed() error {
-	if s.monolithic {
-		return errors.New("schemanet: topology changes are not supported under Options.Monolithic")
+// mutate runs one topology mutator with total exclusion — the write
+// side of topoMu — and rebuilds the per-component tables from the
+// components it reports carried (see core.PMN.TopologyChanged) before
+// readers resume. Both reference paths disable the component machinery
+// incremental maintenance rides on.
+func (s *Session) mutate(fn func() (map[int]int, error)) error {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
+	if s.fixedTopology {
+		return errors.New("schemanet: topology changes are not supported on the monolithic or interpreted reference paths")
 	}
-	if s.interpreted {
-		return errors.New("schemanet: topology changes are not supported under Options.InterpretedConstraints")
+	carried, err := fn()
+	if err != nil {
+		return err
 	}
+	s.rebuildTables(carried)
 	return nil
 }
 
@@ -69,15 +76,11 @@ func (s *Session) topoAllowed() error {
 // probability changes — the constraint engine just refreshes its cycle
 // plans for the new interaction edges.
 func (s *Session) AddSchema(name string, attrs ...string) error {
-	_, err := s.addSchema(name, attrs)
-	return err
+	return s.mutate(func() (map[int]int, error) { return s.addSchema(name, attrs) })
 }
 
 func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
-	net := s.Network()
+	net := s.pmn.Network()
 	oldN := net.NumCandidates()
 	if _, err := net.AppendSchema(name, attrs...); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
@@ -101,7 +104,7 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 // components are re-seeded from their predecessors' surviving samples
 // and only the sample deficit is re-drawn, while every untouched
 // component keeps its samples, probabilities, and cached ranking
-// verbatim.
+// verbatim; their published snapshots stay in place.
 //
 // The differential guarantee: any interleaving of AddSchema /
 // AddCandidates / RetireCandidate / Assert yields the same component
@@ -109,18 +112,14 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 // scratch and replaying the same assertions — and bit-identical
 // probabilities wherever exact inference serves the component.
 func (s *Session) AddCandidates(cs []Correspondence) error {
-	_, err := s.addCandidates(cs)
-	return err
+	return s.mutate(func() (map[int]int, error) { return s.addCandidates(cs) })
 }
 
 func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
 	if len(cs) == 0 {
 		return nil, errors.New("schemanet: AddCandidates requires at least one correspondence")
 	}
-	net := s.Network()
+	net := s.pmn.Network()
 	oldN := net.NumCandidates()
 	if _, err := net.AppendCandidates(cs); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
@@ -147,21 +146,18 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 // plan, is never suggested again, and rejects assertions with
 // ErrCandidateRetired. Its component is conservatively re-partitioned —
 // a retire can split a component — and the split parts are rebuilt from
-// the survivors' samples. An already-asserted candidate cannot be
-// retired (assertions are correct and final).
+// the survivors' samples; every other component keeps its published
+// snapshot. An already-asserted candidate cannot be retired (assertions
+// are correct and final).
 func (s *Session) RetireCandidate(c int) error {
-	_, err := s.retireCandidate(c)
-	return err
+	return s.mutate(func() (map[int]int, error) { return s.retireCandidate(c) })
 }
 
 func (s *Session) retireCandidate(c int) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
 	if err := s.checkCandidate(c); err != nil {
 		return nil, err
 	}
-	net := s.Network()
+	net := s.pmn.Network()
 	if net.Retired(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
 	}

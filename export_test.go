@@ -24,3 +24,19 @@ func SetTopkMatrixCap(t testing.TB, n int) {
 	core.TopkMatrixCap = n
 	t.Cleanup(func() { core.TopkMatrixCap = old })
 }
+
+// WithMonolithic returns a copy of o whose sessions keep one global
+// sample space instead of one per constraint-connected component — the
+// reference side of the decomposition differentials.
+func WithMonolithic(o Options) *Options {
+	o.monolithic = true
+	return &o
+}
+
+// WithInterpretedConstraints returns a copy of o whose sessions run the
+// interpreted reference constraint engine instead of the compiled
+// conflict index (which also disables decomposition).
+func WithInterpretedConstraints(o Options) *Options {
+	o.interpreted = true
+	return &o
+}

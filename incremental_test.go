@@ -166,8 +166,7 @@ func (sc *dynScript) scratchSession(t testing.TB, opts *schemanet.Options) *sche
 	return s
 }
 
-// dynOps is the mutation surface shared by Session, ConcurrentSession,
-// and DurableSession.
+// dynOps is the mutation surface shared by Session and DurableSession.
 type dynOps interface {
 	AddSchema(name string, attrs ...string) error
 	AddCandidates([]schemanet.Correspondence) error
@@ -383,13 +382,38 @@ func mkPlain(t *testing.T, net *schemanet.Network, opts *schemanet.Options) dynO
 	return s
 }
 
+// mkConcurrent is mkPlain with a background reader polling the
+// snapshot read paths across every topology change (run it with -race).
+// The reader stays off Suggest: a suggestion draws from the session rng,
+// which the differential's own draws must not share.
 func mkConcurrent(t *testing.T, net *schemanet.Network, opts *schemanet.Options) dynOps {
-	o := *opts
-	cs, err := schemanet.NewConcurrentSession(net, &o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs
+	s := mkPlain(t, net, opts).(*schemanet.Session)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// Probe until the universe ends: the live network grows in
+			// place, so its size is not readable from here.
+			for c := 0; ; c++ {
+				if _, err := s.Probability(c); err != nil {
+					break
+				}
+			}
+			s.Uncertainty()
+		}
+	}()
+	t.Cleanup(func() {
+		close(done)
+		wg.Wait()
+	})
+	return s
 }
 
 func mkDurable(t *testing.T, net *schemanet.Network, opts *schemanet.Options) dynOps {
@@ -605,7 +629,7 @@ func TestDynamicSaveLoadRoundTrip(t *testing.T) {
 // flowing, and the session stays consistent throughout.
 func TestConcurrentTopologyRace(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	cs, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 9})
+	cs, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,9 +111,6 @@ func TestExactBudgetExceededSurfaces(t *testing.T) {
 	if !errors.Is(err, schemanet.ErrExactBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrExactBudgetExceeded", err)
 	}
-	if _, err := schemanet.NewConcurrentSession(net, opts); !errors.Is(err, schemanet.ErrExactBudgetExceeded) {
-		t.Fatalf("concurrent err = %v, want ErrExactBudgetExceeded", err)
-	}
 	// A budget that fits succeeds, and so does the unbounded budget 0.
 	opts.ExactBudget = 16
 	if _, err := schemanet.NewSession(net, opts); err != nil {
@@ -208,7 +205,7 @@ func TestConcurrentDisjointScheduleMatchesSerialAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := schemanet.NewConcurrentSession(net, opts)
+	conc, err := schemanet.NewSession(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +284,7 @@ func TestConcurrentDisjointScheduleMatchesSerialAuto(t *testing.T) {
 // exact component regardless of arrival order.
 func TestConcurrentPromotionUnderContention(t *testing.T) {
 	net, idx := twoStarsNet(t)
-	conc, err := schemanet.NewConcurrentSession(net, twoStarsOpts())
+	conc, err := schemanet.NewSession(net, twoStarsOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // golang.org/x/tools/go/analysis API plus the four custom analyzers
 // (lockorder, determinism, snapshotsafe, fsseam) that machine-check the
 // cross-cutting contracts the rest of the codebase only documents —
-// the ConcurrentSession lock hierarchy, the bit-reproducibility
+// the Session lock hierarchy, the bit-reproducibility
 // determinism contract, immutable ComponentSnapshot publication, and
 // the wal.FS fault-injection seam. See DESIGN.md, "Invariant
 // enforcement".

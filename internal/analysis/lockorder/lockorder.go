@@ -1,16 +1,15 @@
 // Package lockorder enforces the documented lock hierarchy of the
-// concurrent serving layer. Two hierarchies exist (see concurrent.go
-// and store.go):
+// concurrent serving paths. Two hierarchies exist (see session.go and
+// store.go):
 //
-//	session: topoMu < batchMu < locks[k] (ascending k) < feedMu < sugMu
+//	session: topoMu < batchMu < locks[k] (ascending k) < feedMu < rngMu
 //	store:   SessionStore.mu < liveSession.walMu
 //
 // A goroutine acquiring a lower-level lock while holding a higher one
 // can deadlock against a goroutine doing the reverse — a bug class that
 // no amount of testing reliably surfaces, because it needs the losing
 // interleaving. The analyzer also enforces that per-component locks
-// (ConcurrentSession.locks[k]) are acquired only inside
-// ConcurrentSession's own methods: the ascending-order discipline for
+// (Session.locks[k]) are acquired only inside Session's own methods: the ascending-order discipline for
 // multi-lock paths lives in those helpers (lockAll, applyGroup,
 // rankComponent, …), and an outside acquisition cannot be proven to
 // respect it.
@@ -35,10 +34,10 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "enforces the ConcurrentSession lock hierarchy (topoMu < batchMu < " +
-		"component locks ascending < feedMu < sugMu), the store hierarchy " +
+	Doc: "enforces the Session lock hierarchy (topoMu < batchMu < " +
+		"component locks ascending < feedMu < rngMu), the store hierarchy " +
 		"(SessionStore.mu < liveSession.walMu), and that component locks are " +
-		"acquired only inside ConcurrentSession methods",
+		"acquired only inside Session methods",
 	Match: func(pkgPath string) bool { return pkgPath == "schemanet" },
 	Run:   run,
 }
@@ -52,27 +51,27 @@ type lockClass struct {
 }
 
 const (
-	sessionOrder = "topoMu < batchMu < locks[k] ascending < feedMu < sugMu"
+	sessionOrder = "topoMu < batchMu < locks[k] ascending < feedMu < rngMu"
 	storeOrder   = "SessionStore.mu < liveSession.walMu"
 )
 
 // classes maps (owner type, field) to its place in the hierarchy. The
 // table is the machine-readable form of the lock-order comments in
-// concurrent.go and store.go; a new mutex field must be added here (or
+// session.go and store.go; a new mutex field must be added here (or
 // the analyzer will simply not track it).
 var classes = map[[2]string]lockClass{
-	{"ConcurrentSession", "topoMu"}:  {"session", 0, false, sessionOrder},
-	{"ConcurrentSession", "batchMu"}: {"session", 1, false, sessionOrder},
-	{"ConcurrentSession", "locks"}:   {"session", 2, true, sessionOrder},
-	{"ConcurrentSession", "feedMu"}:  {"session", 3, false, sessionOrder},
-	{"ConcurrentSession", "sugMu"}:   {"session", 4, false, sessionOrder},
-	{"SessionStore", "mu"}:           {"store", 0, false, storeOrder},
-	{"liveSession", "walMu"}:         {"store", 1, false, storeOrder},
+	{"Session", "topoMu"}:    {"session", 0, false, sessionOrder},
+	{"Session", "batchMu"}:   {"session", 1, false, sessionOrder},
+	{"Session", "locks"}:     {"session", 2, true, sessionOrder},
+	{"Session", "feedMu"}:    {"session", 3, false, sessionOrder},
+	{"Session", "rngMu"}:     {"session", 4, false, sessionOrder},
+	{"SessionStore", "mu"}:   {"store", 0, false, storeOrder},
+	{"liveSession", "walMu"}: {"store", 1, false, storeOrder},
 }
 
 // componentOwner is the only type whose methods may touch the
 // per-component lock slice.
-const componentOwner = "ConcurrentSession"
+const componentOwner = "Session"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -105,7 +104,7 @@ func recvTypeName(fd *ast.FuncDecl) string {
 
 // analyzeFunc scans one body linearly, then scans each directly nested
 // function literal as an independent body under the same receiver
-// context (a literal inside a ConcurrentSession method is still "inside
+// context (a literal inside a Session method is still "inside
 // the session's methods" for the component-lock rule, but holds no
 // locks of its own at entry).
 func analyzeFunc(pass *analysis.Pass, recv string, body *ast.BlockStmt) {

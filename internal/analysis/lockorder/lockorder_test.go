@@ -12,9 +12,9 @@ func TestFixtures(t *testing.T) {
 
 func TestScope(t *testing.T) {
 	if !Analyzer.Match("schemanet") {
-		t.Error("the root package (concurrent.go, store.go) must be in scope")
+		t.Error("the root package (session.go, store.go) must be in scope")
 	}
 	if Analyzer.Match("schemanet/internal/core") {
-		t.Error("core holds no ConcurrentSession locks; out of scope")
+		t.Error("core holds no Session locks; out of scope")
 	}
 }

@@ -1,4 +1,4 @@
-// Package lockfix mirrors the concurrent serving layer's lock fields
+// Package lockfix mirrors the session's lock fields
 // so the lockorder analyzer's hierarchy table can be exercised without
 // loading the real root package.
 package lockfix
@@ -7,12 +7,12 @@ import "sync"
 
 type ComponentSnapshot struct{ probs []float64 }
 
-type ConcurrentSession struct {
+type Session struct {
 	topoMu  sync.RWMutex
 	batchMu sync.RWMutex
 	locks   []sync.Mutex
 	feedMu  sync.Mutex
-	sugMu   sync.Mutex
+	rngMu   sync.Mutex
 }
 
 type SessionStore struct {
@@ -26,102 +26,122 @@ type liveSession struct {
 
 // assertPattern is the canonical write path: topo read lock, one
 // component lock, feedMu briefly inside it. In order; silent.
-func (cs *ConcurrentSession) assertPattern(k int) {
-	cs.topoMu.RLock()
-	defer cs.topoMu.RUnlock()
-	cs.locks[k].Lock()
-	defer cs.locks[k].Unlock()
-	cs.feedMu.Lock()
-	cs.feedMu.Unlock()
+func (s *Session) assertPattern(k int) {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	s.locks[k].Lock()
+	defer s.locks[k].Unlock()
+	s.feedMu.Lock()
+	s.feedMu.Unlock()
 }
 
 // lockAllPattern is the whole-network path: batch exclusion, every
-// component in ascending range order, then feedMu. Silent.
-func (cs *ConcurrentSession) lockAllPattern() {
-	cs.batchMu.Lock()
-	for k := range cs.locks {
-		cs.locks[k].Lock()
+// component in ascending range order, then feedMu, then rngMu. Silent.
+func (s *Session) lockAllPattern() {
+	s.batchMu.Lock()
+	for k := range s.locks {
+		s.locks[k].Lock()
 	}
-	cs.feedMu.Lock()
+	s.feedMu.Lock()
+	s.rngMu.Lock()
+}
+
+// applyPattern maintains the component whose sampler shares the
+// session rng: rngMu nests inside its component lock. Silent.
+func (s *Session) applyPattern(k int) {
+	s.locks[k].Lock()
+	defer s.locks[k].Unlock()
+	s.rngMu.Lock()
+	defer s.rngMu.Unlock()
+}
+
+// componentUnderRng inverts the component/rng order: a Suggest draw
+// that then waited on a component lock could deadlock against an
+// Assert holding that component and waiting on the rng.
+func (s *Session) componentUnderRng(k int) {
+	s.rngMu.Lock()
+	defer s.rngMu.Unlock()
+	s.locks[k].Lock() // want `locks\[k\] acquired while holding Session\.rngMu`
+	s.locks[k].Unlock()
 }
 
 // feedThenComponent inverts the component/feed order.
-func (cs *ConcurrentSession) feedThenComponent(k int) {
-	cs.feedMu.Lock()
-	defer cs.feedMu.Unlock()
-	cs.locks[k].Lock() // want `locks\[k\] acquired while holding ConcurrentSession\.feedMu`
-	defer cs.locks[k].Unlock()
+func (s *Session) feedThenComponent(k int) {
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
+	s.locks[k].Lock() // want `locks\[k\] acquired while holding Session\.feedMu`
+	defer s.locks[k].Unlock()
 }
 
 // descendingComponents acquires two component locks out of ascending
 // order.
-func (cs *ConcurrentSession) descendingComponents() {
-	cs.locks[2].Lock()
-	cs.locks[1].Lock() // want `component lock 1 acquired while holding component lock 2`
-	cs.locks[1].Unlock()
-	cs.locks[2].Unlock()
+func (s *Session) descendingComponents() {
+	s.locks[2].Lock()
+	s.locks[1].Lock() // want `component lock 1 acquired while holding component lock 2`
+	s.locks[1].Unlock()
+	s.locks[2].Unlock()
 }
 
 // batchAfterComponent takes the batch exclusion after a component lock.
-func (cs *ConcurrentSession) batchAfterComponent(k int) {
-	cs.locks[k].Lock()
-	defer cs.locks[k].Unlock()
-	cs.batchMu.RLock() // want `batchMu acquired while holding ConcurrentSession\.locks\[k\]`
-	defer cs.batchMu.RUnlock()
+func (s *Session) batchAfterComponent(k int) {
+	s.locks[k].Lock()
+	defer s.locks[k].Unlock()
+	s.batchMu.RLock() // want `batchMu acquired while holding Session\.locks\[k\]`
+	defer s.batchMu.RUnlock()
 }
 
 // topoAfterFeed violates the order across the whole hierarchy.
-func (cs *ConcurrentSession) topoAfterFeed() {
-	cs.feedMu.Lock()
-	defer cs.feedMu.Unlock()
-	cs.topoMu.Lock() // want `topoMu acquired while holding ConcurrentSession\.feedMu`
-	defer cs.topoMu.Unlock()
+func (s *Session) topoAfterFeed() {
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
+	s.topoMu.Lock() // want `topoMu acquired while holding Session\.feedMu`
+	defer s.topoMu.Unlock()
 }
 
 // doubleFeed self-deadlocks.
-func (cs *ConcurrentSession) doubleFeed() {
-	cs.feedMu.Lock()
-	cs.feedMu.Lock() // want `feedMu acquired while already held`
-	cs.feedMu.Unlock()
-	cs.feedMu.Unlock()
+func (s *Session) doubleFeed() {
+	s.feedMu.Lock()
+	s.feedMu.Lock() // want `feedMu acquired while already held`
+	s.feedMu.Unlock()
+	s.feedMu.Unlock()
 }
 
 // releasedBetween is silent: the first component lock is released
 // before the lower-indexed one is taken, and feedMu is released before
 // the next component lock.
-func (cs *ConcurrentSession) releasedBetween(k int) {
-	cs.locks[2].Lock()
-	cs.locks[2].Unlock()
-	cs.locks[1].Lock()
-	cs.locks[1].Unlock()
-	cs.feedMu.Lock()
-	cs.feedMu.Unlock()
-	cs.locks[k].Lock()
-	cs.locks[k].Unlock()
+func (s *Session) releasedBetween(k int) {
+	s.locks[2].Lock()
+	s.locks[2].Unlock()
+	s.locks[1].Lock()
+	s.locks[1].Unlock()
+	s.feedMu.Lock()
+	s.feedMu.Unlock()
+	s.locks[k].Lock()
+	s.locks[k].Unlock()
 }
 
 // goroutineBody starts fresh: the literal holds nothing at entry, so
 // its topoMu acquisition is silent even though the method holds feedMu.
-func (cs *ConcurrentSession) goroutineBody() {
-	cs.feedMu.Lock()
-	defer cs.feedMu.Unlock()
+func (s *Session) goroutineBody() {
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
 	go func() {
-		cs.topoMu.RLock()
-		cs.topoMu.RUnlock()
+		s.topoMu.RLock()
+		s.topoMu.RUnlock()
 	}()
 }
 
 // outsideHelper acquires a component lock from a plain function: even
 // in the right order, the discipline must live in session methods.
-func outsideHelper(cs *ConcurrentSession, k int) {
-	cs.locks[k].Lock() // want `component lock ConcurrentSession\.locks acquired outside ConcurrentSession's methods`
-	cs.locks[k].Unlock()
+func outsideHelper(s *Session, k int) {
+	s.locks[k].Lock() // want `component lock Session\.locks acquired outside Session's methods`
+	s.locks[k].Unlock()
 }
 
 // otherOwner is a method, but of the wrong type.
-func (st *SessionStore) otherOwner(cs *ConcurrentSession) {
-	cs.locks[0].Lock() // want `component lock ConcurrentSession\.locks acquired outside ConcurrentSession's methods`
-	cs.locks[0].Unlock()
+func (st *SessionStore) otherOwner(s *Session) {
+	s.locks[0].Lock() // want `component lock Session\.locks acquired outside Session's methods`
+	s.locks[0].Unlock()
 }
 
 // storeOrder is the documented store hierarchy. Silent.
@@ -144,41 +164,41 @@ func (st *SessionStore) storeInverted(ls *liveSession) {
 // lock, stale components are ranked in descending-entropy order — an
 // arbitrary index order — which is safe only because each component
 // lock is released before the next is taken. Silent.
-func (cs *ConcurrentSession) suggestRankPattern(pending []int) {
-	cs.topoMu.RLock()
-	defer cs.topoMu.RUnlock()
+func (s *Session) suggestRankPattern(pending []int) {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
 	for _, k := range pending {
-		cs.locks[k].Lock()
-		cs.locks[k].Unlock()
+		s.locks[k].Lock()
+		s.locks[k].Unlock()
 	}
 }
 
 // rankHoldingPrevious shows why the release matters: ranking component
 // 1 while still holding component 2 (entropy order need not be
 // ascending) is the deadlock the released-between discipline prevents.
-func (cs *ConcurrentSession) rankHoldingPrevious() {
-	cs.topoMu.RLock()
-	defer cs.topoMu.RUnlock()
-	cs.locks[2].Lock()
-	defer cs.locks[2].Unlock()
-	cs.locks[1].Lock() // want `component lock 1 acquired while holding component lock 2`
-	cs.locks[1].Unlock()
+func (s *Session) rankHoldingPrevious() {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	s.locks[2].Lock()
+	defer s.locks[2].Unlock()
+	s.locks[1].Lock() // want `component lock 1 acquired while holding component lock 2`
+	s.locks[1].Unlock()
 }
 
 // localMutex is untracked state; silent whatever the order.
-func (cs *ConcurrentSession) localMutex() {
+func (s *Session) localMutex() {
 	var mu sync.Mutex
-	cs.feedMu.Lock()
-	defer cs.feedMu.Unlock()
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
 	mu.Lock()
 	mu.Unlock()
 }
 
 // suppressed documents a deliberate, justified violation.
-func (cs *ConcurrentSession) suppressed(k int) {
-	cs.feedMu.Lock()
-	defer cs.feedMu.Unlock()
+func (s *Session) suppressed(k int) {
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
 	//lint:ignore lockorder fixture: proving the escape hatch silences a real violation
-	cs.locks[k].Lock()
-	cs.locks[k].Unlock()
+	s.locks[k].Lock()
+	s.locks[k].Unlock()
 }

@@ -298,3 +298,48 @@ func TestDecomposedSampledAgreesWithExactOnRandomNet(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedRngComponent: only the whole-universe component of the
+// trivial-partition and Monolithic paths samples from the rng passed to
+// New; a topology change that carries it keeps it, and a rebuild gives
+// it a derived stream.
+func TestSharedRngComponent(t *testing.T) {
+	e, _ := buildVideoNet(t)
+	p := MustNew(e, DefaultConfig(), rand.New(rand.NewSource(1)))
+	if k := p.SharedRngComponent(); k != 0 {
+		t.Fatalf("trivial partition: SharedRngComponent = %d, want 0", k)
+	}
+	net := e.Network()
+	oldN := net.NumCandidates()
+	if _, err := net.AppendSchema("Late", "x"); err != nil {
+		t.Fatal(err)
+	}
+	e.Grow(oldN)
+	if _, err := p.TopologyChanged(oldN, -1); err != nil {
+		t.Fatal(err)
+	}
+	if k := p.SharedRngComponent(); k != 0 {
+		t.Fatalf("after a schema arrival: SharedRngComponent = %d, want the carried component 0", k)
+	}
+	late := schema.AttrID(net.NumAttributes() - 1)
+	if _, err := net.AppendCandidates([]schema.Correspondence{{A: 0, B: late, Confidence: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	e.Grow(oldN)
+	if _, err := p.TopologyChanged(oldN, -1); err != nil {
+		t.Fatal(err)
+	}
+	if k := p.SharedRngComponent(); k != -1 {
+		t.Fatalf("after a candidate arrival: SharedRngComponent = %d, want -1 (rebuilt)", k)
+	}
+
+	e, _ = buildTwoTriangles(t)
+	if k := MustNew(e, DefaultConfig(), rand.New(rand.NewSource(1))).SharedRngComponent(); k != -1 {
+		t.Fatalf("decomposed: SharedRngComponent = %d, want -1", k)
+	}
+	cfg := DefaultConfig()
+	cfg.Monolithic = true
+	if k := MustNew(e, cfg, rand.New(rand.NewSource(1))).SharedRngComponent(); k != 0 {
+		t.Fatalf("monolithic: SharedRngComponent = %d, want 0", k)
+	}
+}

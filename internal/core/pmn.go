@@ -144,6 +144,11 @@ type component struct {
 	evalGain   []float64
 	evalDrift  []float64
 	evalEpoch  []uint64
+
+	// sharedRng marks the component whose sampler draws from the rng
+	// passed to New rather than from a stream of its own (see
+	// SharedRngComponent).
+	sharedRng bool
 }
 
 // store returns the live sample/instance container of the component's
@@ -244,6 +249,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		// session rng keeps the sampling stream identical to the
 		// pre-decomposition implementation.
 		p.comps = []*component{newComponent(engine, n)}
+		p.comps[0].sharedRng = true
 		p.compOf = make([]int, n)
 		p.localIdx = nil
 		p.maxComp = n
@@ -324,6 +330,22 @@ func (p *PMN) NumComponents() int { return len(p.comps) }
 
 // ComponentOf returns the component index of candidate c.
 func (p *PMN) ComponentOf(c int) int { return p.compOf[c] }
+
+// SharedRngComponent returns the index of the component whose sampler
+// draws from the rng passed to New, or -1 when every component samples
+// from a stream of its own. Only the trivial-partition and Monolithic
+// paths build such a component, and a topology change that carries it
+// keeps it; a rebuilt component always gets a derived stream. A serving
+// layer that draws from the same rng elsewhere must serialize those
+// draws with this component's maintenance.
+func (p *PMN) SharedRngComponent() int {
+	for k, c := range p.comps {
+		if c.sharedRng {
+			return k
+		}
+	}
+	return -1
+}
 
 // ComponentStore returns component k's sample set Ω*_k.
 func (p *PMN) ComponentStore(k int) *sampling.Store { return p.comps[k].store() }

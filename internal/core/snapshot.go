@@ -59,7 +59,7 @@ func (s *ComponentSnapshot) Ranked() bool { return s.ranked }
 // snapshot of component k, skipping the gain ranking entirely — the
 // cheap publication a write path uses to keep probability and
 // uncertainty reads fresh while deferring ranking work to the next
-// suggestion (see ConcurrentSession). Its Best reports an empty tie
+// suggestion (see schemanet.Session). Its Best reports an empty tie
 // set and Ranked reports false. It reads only component-local state
 // (plus the component's entries of the probability vector), so calls
 // for different components may run concurrently; calls for the same
@@ -69,14 +69,24 @@ func (p *PMN) SnapshotComponentProbs(k int) *ComponentSnapshot {
 }
 
 // SnapshotComponentTop builds a ranked snapshot of component k: Best
-// carries the component's maximal-gain tie set from TopGains.
-// Serialization requirements are those of SnapshotComponentProbs, and
-// of EnsureComponentGains for the ranking.
-func (p *PMN) SnapshotComponentTop(k int) *ComponentSnapshot {
+// carries the component's maximal-gain tie set from TopGains. base, when
+// non-nil, must be a snapshot of component k's current state (no
+// maintenance since it was built); the ranked snapshot then shares its
+// probabilities and pools instead of copying them again. Serialization
+// requirements are those of SnapshotComponentProbs, and of
+// EnsureComponentGains for the ranking.
+func (p *PMN) SnapshotComponentTop(k int, base *ComponentSnapshot) *ComponentSnapshot {
 	ties, gain := p.TopGains(k)
-	snap := p.snapshot(k)
+	var snap *ComponentSnapshot
+	if base != nil {
+		cp := *base
+		snap = &cp
+	} else {
+		snap = p.snapshot(k)
+	}
 	snap.ranked = true
 	snap.bestGain = gain
+	snap.best = nil
 	if len(ties) > 0 {
 		// Copy: the component's cached tie slice is rewritten by the next
 		// re-rank, while the snapshot must stay frozen.
@@ -98,11 +108,13 @@ func (p *PMN) snapshot(k int) *ComponentSnapshot {
 	if cp.members == nil {
 		n := len(p.probs)
 		snap.probs = make([]float64, n)
+		snap.unasserted = make([]int, 0, n)
 		for c := 0; c < n; c++ {
 			collect(c, c)
 		}
 	} else {
 		snap.probs = make([]float64, len(cp.members))
+		snap.unasserted = make([]int, 0, len(cp.members))
 		for j, c := range cp.members {
 			collect(j, c)
 		}

@@ -1,12 +1,11 @@
 package schemanet_test
 
-// Session is documented as not safe for concurrent use; the intended
-// pattern is one goroutine per session (distinct sessions are
-// independent). This test exercises exactly that pattern under the race
-// detector: if sessions ever shared hidden mutable state — engine
-// scratch, samplers, package-level caches — `go test -race` flags it
-// here. It deliberately does NOT share one session across goroutines:
-// that is the unsupported pattern the Session doc comment rules out.
+// Distinct sessions are independent: one goroutine per session must
+// never race. This test exercises that pattern under the race detector:
+// if sessions ever shared hidden mutable state — engine scratch,
+// samplers, package-level caches — `go test -race` flags it here.
+// Sharing one session across goroutines is covered by
+// concurrent_test.go.
 
 import (
 	"sync"

@@ -58,7 +58,7 @@ type (
 	// Matcher produces candidate correspondences for a network.
 	Matcher = matcher.Matcher
 	// Assertion is one expert statement about a candidate
-	// correspondence, used by the batch APIs (ConcurrentSession.AssertBatch).
+	// correspondence, used by the batch APIs (Session.AssertBatch).
 	Assertion = core.Assertion
 	// InferenceMode identifies a per-component estimation backend; see
 	// Options.Inference and Session.InferenceOf.
@@ -208,29 +208,19 @@ type Options struct {
 	// paper's Γ). Each entry must name two distinct attributes of the
 	// network; NewSession rejects any other.
 	ExclusivePairs [][2]AttrID
-	// InterpretedConstraints switches the session to the interpreted
-	// reference constraint engine instead of the compiled conflict index
-	// (see DESIGN.md, "Compiled conflict index"). The two are
-	// equivalent; the interpreted path exists for debugging and
-	// differential testing and is markedly slower. It also disables
-	// component decomposition (the partition is derived from the
-	// compiled index).
-	InterpretedConstraints bool
-	// Monolithic disables component decomposition: the probabilistic
-	// matching network keeps one global sample space instead of one per
-	// constraint-connected component (see DESIGN.md, "Component
-	// decomposition"). The two paths are equivalent — identical
-	// probabilities under exact inference, statistically equivalent
-	// estimates when sampling — but the decomposed path makes each
-	// assertion pay only for its own component. The switch exists for
-	// differential testing and debugging.
-	Monolithic bool
 	// Seed makes the session deterministic.
 	Seed int64
 
-	// exhaustiveRank selects the core's exhaustive reference ranking
-	// (core.Config.ExhaustiveRank); set only by tests, see export_test.go.
+	// The reference paths the differential tests compare against; set
+	// only by tests, see export_test.go. exhaustiveRank selects the
+	// core's exhaustive reference ranking (core.Config.ExhaustiveRank);
+	// interpreted the interpreted constraint engine instead of the
+	// compiled conflict index (which also disables decomposition: the
+	// partition is derived from the compiled index); monolithic one
+	// global sample space instead of one per component.
 	exhaustiveRank bool
+	interpreted    bool
+	monolithic     bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -291,7 +281,30 @@ func (o *Options) validate(net *Network) error {
 			return fmt.Errorf("schemanet: Options.ExclusivePairs[%d] pairs attribute %d with itself", i, p[0])
 		}
 	}
-	return nil
+	if o.DisableOneToOne && o.DisableCycle && len(o.ExclusivePairs) == 0 {
+		return fmt.Errorf("schemanet: at least one constraint is required")
+	}
+	if _, err := o.inferenceMode(); err != nil {
+		return err
+	}
+	_, err := o.strategy()
+	return err
+}
+
+// strategy resolves the Strategy string; nil selects the default
+// info-gain ordering, which Session.Suggest serves from its snapshots.
+func (o *Options) strategy() (core.Strategy, error) {
+	switch o.Strategy {
+	case "", "info-gain":
+		return nil, nil
+	case "random":
+		return core.RandomStrategy{}, nil
+	case "least-certain":
+		return core.LeastCertainStrategy{}, nil
+	case "by-confidence":
+		return core.ByConfidenceStrategy{}, nil
+	}
+	return nil, fmt.Errorf("schemanet: unknown strategy %q", o.Strategy)
 }
 
 // inferenceMode resolves the Inference string into the core mode.
@@ -307,48 +320,10 @@ func (o *Options) inferenceMode() (core.InferenceMode, error) {
 	return 0, fmt.Errorf("schemanet: unknown inference mode %q (want \"auto\", \"sampled\", or \"exact\")", o.Inference)
 }
 
-// Session is a pay-as-you-go reconciliation session over one network:
-// it holds the probabilistic matching network, suggests the most
-// informative correspondences for review, integrates assertions, and
-// instantiates a trusted matching on demand.
-//
-// A Session value itself is NOT safe for concurrent use: its methods
-// must be called from a single goroutine (Suggest and Instantiate draw
-// from the session's rng and reuse engine-owned scratch, and Assert
-// mutates the probabilistic network in place). Distinct Session values
-// are independent and may be used from distinct goroutines.
-//
-// For many experts asserting against the same network in parallel, wrap
-// the session with Concurrent: the resulting ConcurrentSession serves
-// concurrent reads lock-free from per-component snapshots and runs
-// assertions touching different constraint-connected components in
-// parallel; only writes to the same component serialize. See
-// ConcurrentSession for the full model.
-type Session struct {
-	engine   *constraints.Engine
-	pmn      *core.PMN
-	strategy core.Strategy
-	instCfg  instantiate.Config
-	rng      *rand.Rand
-	workers  int   // Options.Workers, for the concurrent wrapper's pool
-	seed     int64 // Options.Seed, for derived deterministic streams
-
-	// monolithic/interpreted gate the topology mutators (AddSchema,
-	// AddCandidates, RetireCandidate): both switches disable the
-	// component machinery incremental topology maintenance rides on.
-	monolithic  bool
-	interpreted bool
-	// topoOps logs the session's topology mutations interleaved with the
-	// assertion history (each op records the history length at the time
-	// it was applied), so Save can serialize and LoadSession replay the
-	// exact grow/assert interleaving. See session_io.go.
-	topoOps []topoOp
-}
-
 // ErrUnknownCandidate reports a candidate index outside the network's
-// candidate universe. Session and ConcurrentSession return it (wrapped
-// with the offending index) instead of panicking: a serving layer must
-// never crash on bad input.
+// candidate universe. Session returns it (wrapped with the offending
+// index) instead of panicking: a serving layer must never crash on bad
+// input.
 var ErrUnknownCandidate = errors.New("schemanet: unknown candidate")
 
 // ErrAlreadyAsserted reports an Assert on a candidate that already
@@ -366,17 +341,9 @@ var ErrAlreadyAsserted = core.ErrAlreadyAsserted
 // budget or switch to "auto" (which falls back to sampling on its own).
 var ErrExactBudgetExceeded = core.ErrExactBudgetExceeded
 
-// checkCandidate validates a candidate index against the universe.
-func (s *Session) checkCandidate(c int) error {
-	if n := s.pmn.Network().NumCandidates(); c < 0 || c >= n {
-		return fmt.Errorf("%w: index %d outside [0,%d)", ErrUnknownCandidate, c, n)
-	}
-	return nil
-}
-
 // NewSession builds a session for the network's candidate
 // correspondences and computes the initial probabilities. The returned
-// Session must be confined to one goroutine; see Session.
+// Session is safe for concurrent use; see Session.
 func NewSession(net *Network, opts *Options) (*Session, error) {
 	if net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
@@ -399,28 +366,14 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	if len(o.ExclusivePairs) > 0 {
 		cons = append(cons, constraints.NewMutualExclusion(net, o.ExclusivePairs))
 	}
-	if len(cons) == 0 {
-		return nil, fmt.Errorf("schemanet: at least one constraint is required")
-	}
 	newEngine := constraints.NewEngine
-	if o.InterpretedConstraints {
+	if o.interpreted {
 		newEngine = constraints.NewInterpreted
 	}
 	engine := newEngine(net, cons...)
-
-	var strat core.Strategy
-	switch o.Strategy {
-	case "", "info-gain":
-		strat = core.InfoGainStrategy{}
-	case "random":
-		strat = core.RandomStrategy{}
-	case "least-certain":
-		strat = core.LeastCertainStrategy{}
-	case "by-confidence":
-		strat = core.ByConfidenceStrategy{}
-	default:
-		return nil, fmt.Errorf("schemanet: unknown strategy %q", o.Strategy)
-	}
+	// Both resolve: validate checked them.
+	strat, _ := o.strategy()
+	mode, _ := o.inferenceMode()
 
 	cfg := core.DefaultConfig()
 	cfg.Sampler = sampling.DefaultConfig()
@@ -433,14 +386,10 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	if o.StagnationLimit > 0 {
 		cfg.Sampler.StagnationLimit = o.StagnationLimit
 	}
-	mode, err := o.inferenceMode()
-	if err != nil {
-		return nil, err
-	}
 	cfg.Inference = mode
 	cfg.ExactBudget = o.ExactBudget
 	cfg.Workers = o.Workers
-	cfg.Monolithic = o.Monolithic
+	cfg.Monolithic = o.monolithic
 	cfg.ExhaustiveRank = o.exhaustiveRank
 
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -450,134 +399,15 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	}
 	pmn.SetTopoSeed(o.Seed)
 	s := &Session{
-		engine:      engine,
-		pmn:         pmn,
-		strategy:    strat,
-		instCfg:     instantiate.DefaultConfig(),
-		rng:         rng,
-		workers:     o.Workers,
-		seed:        o.Seed,
-		monolithic:  o.Monolithic,
-		interpreted: o.InterpretedConstraints,
+		engine:        engine,
+		pmn:           pmn,
+		strategy:      strat,
+		instCfg:       instantiate.DefaultConfig(),
+		rng:           rng,
+		workers:       o.Workers,
+		fixedTopology: o.monolithic || o.interpreted,
 	}
 	s.instCfg.Iterations = o.InstantiateIterations
+	s.rebuildTables(nil)
 	return s, nil
-}
-
-// Network returns the session's network.
-func (s *Session) Network() *Network { return s.pmn.Network() }
-
-// Suggest returns the candidate index whose assertion is expected to
-// reduce network uncertainty the most (information gain, §IV-D). ok is
-// false when every candidate has been asserted.
-func (s *Session) Suggest() (c int, ok bool) {
-	return s.strategy.Next(s.pmn, s.rng)
-}
-
-// Assert integrates an expert statement about candidate c. It returns
-// ErrUnknownCandidate (wrapped) when c is outside the candidate
-// universe and an error when c was already asserted.
-func (s *Session) Assert(c int, correct bool) error {
-	if err := s.checkCandidate(c); err != nil {
-		return err
-	}
-	return s.pmn.Assert(c, correct)
-}
-
-// Probability returns the current probability of candidate c, or
-// ErrUnknownCandidate (wrapped) when c is outside the candidate
-// universe.
-func (s *Session) Probability(c int) (float64, error) {
-	if err := s.checkCandidate(c); err != nil {
-		return 0, err
-	}
-	return s.pmn.Probability(c), nil
-}
-
-// Uncertainty returns the network uncertainty H(C, P) (Equation 3).
-func (s *Session) Uncertainty() float64 { return s.pmn.Entropy() }
-
-// SamplingEmissions returns the total number of random-walk emissions
-// requested from the samplers so far, including the initial fill — the
-// sampling-effort unit the adaptive budget (Options.MinSamples,
-// MaxSamples, Convergence) economizes. Exact components contribute
-// nothing. Use it to compare the cost of budget configurations.
-func (s *Session) SamplingEmissions() int { return s.pmn.Emissions() }
-
-// Effort returns the fraction of candidates asserted so far.
-func (s *Session) Effort() float64 { return s.pmn.Feedback().Effort() }
-
-// Violations returns the number of distinct constraint violations among
-// the raw candidate correspondences.
-func (s *Session) Violations() int {
-	return s.engine.ViolationCount(s.engine.FullInstance())
-}
-
-// Describe renders candidate c with its schemas, attributes, and
-// matcher confidence. For an out-of-universe c it returns a placeholder
-// string instead of panicking (rendering has no error channel; use
-// Probability or Assert for validation that reports ErrUnknownCandidate).
-func (s *Session) Describe(c int) string {
-	if err := s.checkCandidate(c); err != nil {
-		return fmt.Sprintf("<unknown candidate %d>", c)
-	}
-	return s.Network().DescribeCandidate(c)
-}
-
-// Components returns how many constraint-connected components the
-// probabilistic matching network decomposes into (1 under
-// Options.Monolithic or Options.InterpretedConstraints). Assertions
-// only ever pay for their own component; many small components mean
-// cheap assertions.
-func (s *Session) Components() int { return s.pmn.NumComponents() }
-
-// ComponentOf returns the index of the constraint-connected component
-// candidate c belongs to (always 0 under Options.Monolithic or
-// Options.InterpretedConstraints). Callers routing work across
-// components — e.g. building a component-disjoint assertion schedule
-// for ConcurrentSession — use it to group candidates. It returns
-// ErrUnknownCandidate (wrapped) for an out-of-universe c.
-func (s *Session) ComponentOf(c int) (int, error) {
-	if err := s.checkCandidate(c); err != nil {
-		return 0, err
-	}
-	return s.pmn.ComponentOf(c), nil
-}
-
-// InferenceOf reports which estimation backend currently serves
-// component k: InferenceExact (noise-free probabilities from the
-// component's materialized instance list) or InferenceSampled. Under
-// Options.Inference = "auto" a component can flip from sampled to exact
-// as assertions shrink it; it never flips back. k is a component index
-// as returned by ComponentOf, in [0, Components()).
-func (s *Session) InferenceOf(k int) (InferenceMode, error) {
-	if k < 0 || k >= s.pmn.NumComponents() {
-		return 0, fmt.Errorf("schemanet: component index %d outside [0,%d)", k, s.pmn.NumComponents())
-	}
-	return s.pmn.ComponentInference(k), nil
-}
-
-// Instantiate derives a trusted matching from the current state: a
-// maximal constraint-consistent set of correspondences with near-minimal
-// repair distance and near-maximal likelihood (§V, Algorithm 2). It can
-// be called at any time, with any amount of feedback. The search runs
-// per constraint-connected component and merges the per-component
-// maximal instances (the objective factorizes; see DESIGN.md,
-// "Component decomposition").
-func (s *Session) Instantiate() *Matching {
-	// Retired candidates are excluded like disapprovals: their conflict
-	// rows are cleared, so without the mask the local search could
-	// re-acquire them through the repair step.
-	dis := s.pmn.Feedback().Disapproved()
-	if rm := s.engine.RetiredMask(); rm != nil && !rm.Empty() {
-		d := dis.Clone()
-		d.UnionWith(rm)
-		dis = d
-	}
-	inst := instantiate.HeuristicDecomposed(
-		s.engine, s.pmn.ComponentStores(), s.pmn.ComponentMasks(),
-		s.pmn.Probabilities(),
-		s.pmn.Feedback().Approved(), dis,
-		s.instCfg, s.rng)
-	return schema.MatchingFromCandidates(s.Network(), inst.Members())
 }

@@ -8,7 +8,7 @@ import (
 	"schemanet"
 )
 
-// prober is the read interface shared by Session and ConcurrentSession.
+// prober is the read interface shared by Session and DurableSession.
 type prober interface {
 	Probability(c int) (float64, error)
 }
@@ -173,9 +173,6 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.field) {
 				t.Fatalf("error %q does not name the field %s", err, tc.field)
 			}
-			if _, err := schemanet.NewConcurrentSession(net, &tc.opts); err == nil {
-				t.Fatalf("NewConcurrentSession accepted negative %s", tc.field)
-			}
 		})
 	}
 	// Valid positive values still pass.
@@ -205,15 +202,9 @@ func TestSessionRejectsInvalidExclusivePairs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := &schemanet.Options{ExclusivePairs: tc.pairs}
-			for _, open := range []func() error{
-				func() error { _, err := schemanet.NewSession(net, opts); return err },
-				func() error { _, err := schemanet.NewConcurrentSession(net, opts); return err },
-			} {
-				err := open()
-				if err == nil || !strings.Contains(err.Error(), "ExclusivePairs") || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("err = %v, want one naming ExclusivePairs and %q", err, tc.want)
-				}
+			_, err := schemanet.NewSession(net, &schemanet.Options{ExclusivePairs: tc.pairs})
+			if err == nil || !strings.Contains(err.Error(), "ExclusivePairs") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming ExclusivePairs and %q", err, tc.want)
 			}
 		})
 	}

@@ -67,9 +67,15 @@ type savedAssertion struct {
 // FullName — two attributes sharing a printed name — would make the
 // file unloadable). On any error nothing is written to w: the state is
 // marshaled in memory and emitted with a single Write, so a failed
-// Save can never leave a half-written session file behind.
+// Save can never leave a half-written session file behind. Concurrent
+// assertions are excluded from the saved history, not torn: Save takes
+// exclusive access while it captures the state.
 func (s *Session) Save(w io.Writer) error {
+	s.topoMu.RLock()
+	s.lockAll()
 	st, err := s.sessionState()
+	s.unlockAll()
+	s.topoMu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -80,7 +86,7 @@ func (s *Session) Save(w io.Writer) error {
 // mutated their topology, the interleaved operation stream) in
 // saveable, validated form.
 func (s *Session) sessionState() (sessionState, error) {
-	net := s.Network()
+	net := s.pmn.Network()
 	hist := s.pmn.Feedback().History()
 	rendered := make([]savedAssertion, len(hist))
 	for i, a := range hist {
@@ -239,7 +245,7 @@ func replaySession(net *Network, opts *Options, hist []savedAssertion) (*Session
 	if len(batch) == 0 {
 		return s, nil
 	}
-	if err := s.pmn.AssertBatch(batch); err != nil {
+	if err := s.AssertBatch(batch); err != nil {
 		return nil, fmt.Errorf("schemanet: replaying session history: %w", err)
 	}
 	return s, nil
@@ -286,7 +292,7 @@ func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, err
 			return fmt.Errorf("schemanet: %w", err)
 		}
 		pending = pending[:0]
-		if err := s.pmn.AssertBatch(batch); err != nil {
+		if err := s.AssertBatch(batch); err != nil {
 			return fmt.Errorf("schemanet: replaying session history: %w", err)
 		}
 		return nil

@@ -108,16 +108,16 @@ type SessionStore struct {
 	closed bool
 }
 
-// liveSession is one resident session: the in-memory ConcurrentSession
-// plus its WAL handle and full logical history. walMu serializes every
-// mutation (memory apply + WAL append + compaction); reads go straight
-// to the ConcurrentSession's lock-free snapshots. Lock order:
-// SessionStore.mu may be held while taking walMu, never the reverse.
+// liveSession is one resident session: the in-memory Session plus its
+// WAL handle and full logical history. walMu serializes every mutation
+// (memory apply + WAL append + compaction); reads go straight to the
+// Session's lock-free snapshots. Lock order: SessionStore.mu may be
+// held while taking walMu, never the reverse.
 type liveSession struct {
 	store   *SessionStore
 	name    string
 	dir     string
-	cs      *ConcurrentSession
+	s       *Session
 	attrIdx map[string]AttrID
 
 	walMu     sync.Mutex
@@ -143,6 +143,12 @@ func OpenStore(dir string, net *Network, opts *StoreOptions) (*SessionStore, err
 	}
 	if o.MaxOpen < 0 || o.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("schemanet: store: MaxOpen and SnapshotEvery must be non-negative")
+	}
+	// Every session replays under these options, so reject bad ones
+	// here rather than at each Session(name).
+	so := o.Session.withDefaults()
+	if err := so.validate(net); err != nil {
+		return nil, fmt.Errorf("schemanet: store: StoreOptions.Session: %w", err)
 	}
 	policy, err := wal.ParsePolicy(o.Sync)
 	if err != nil {
@@ -418,7 +424,7 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		store: st, name: name, dir: dir,
 		// attrIdx reflects the session's own (possibly grown) network,
 		// not the store's base network.
-		cs: s.Concurrent(), attrIdx: attrIndex(s.Network()),
+		s: s, attrIdx: attrIndex(s.Network()),
 		log: l, recs: recs, snapCount: min(int(snapSeq), len(recs)),
 	}
 	if dirty {
@@ -509,30 +515,37 @@ func hasTopology(recs []wal.Record) bool {
 	return false
 }
 
-// record renders candidate c as the next WAL record and proves it will
-// resolve back on recovery (same guard Save applies).
+// names renders candidate c by its attributes' full names and proves
+// the pair resolves back to c on recovery (the guard Save applies);
+// what names the refused operation for the error.
+func (ls *liveSession) names(c int, what string) (from, to string, err error) {
+	net := ls.s.Network()
+	cand := net.Candidate(c)
+	from, to = net.FullName(cand.A), net.FullName(cand.B)
+	a, okA := ls.attrIdx[from]
+	b, okB := ls.attrIdx[to]
+	if !okA || !okB || net.CandidateIndex(a, b) != c {
+		return "", "", fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable %s",
+			ls.name, c, from, to, what)
+	}
+	return from, to, nil
+}
+
+// record renders candidate c as the next WAL record.
 func (ls *liveSession) record(annotator string, c int, approved bool) (wal.Record, error) {
-	net := ls.cs.Network()
-	if net.Retired(c) {
+	if ls.s.Network().Retired(c) {
 		// Checked before the resolve-back guard: a retired candidate no
 		// longer resolves by name at all.
 		return wal.Record{}, fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
 	}
-	cand := net.Candidate(c)
-	rec := wal.Record{
-		Seq:       uint64(len(ls.recs)) + 1,
-		Annotator: annotator,
-		From:      net.FullName(cand.A),
-		To:        net.FullName(cand.B),
-		Approved:  approved,
+	from, to, err := ls.names(c, "assertion")
+	if err != nil {
+		return wal.Record{}, err
 	}
-	a, okA := ls.attrIdx[rec.From]
-	b, okB := ls.attrIdx[rec.To]
-	if !okA || !okB || net.CandidateIndex(a, b) != c {
-		return rec, fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable assertion",
-			ls.name, c, rec.From, rec.To)
-	}
-	return rec, nil
+	return wal.Record{
+		Seq: uint64(len(ls.recs)) + 1, Annotator: annotator,
+		From: from, To: to, Approved: approved,
+	}, nil
 }
 
 // healLocked is the gate after a failed WAL append: no further records
@@ -561,14 +574,14 @@ func (ls *liveSession) assert(annotator string, c int, approved bool) error {
 	if err := ls.healLocked(); err != nil {
 		return err
 	}
-	if err := ls.cs.s.checkCandidate(c); err != nil {
+	if err := ls.s.checkCandidate(c); err != nil {
 		return err
 	}
 	rec, err := ls.record(annotator, c, approved)
 	if err != nil {
 		return err
 	}
-	if err := ls.cs.Assert(c, approved); err != nil {
+	if err := ls.s.Assert(c, approved); err != nil {
 		return err
 	}
 	ls.recs = append(ls.recs, rec)
@@ -582,7 +595,7 @@ func (ls *liveSession) assert(annotator string, c int, approved bool) error {
 }
 
 // assertBatch applies a batch atomically in memory (all-or-nothing, as
-// ConcurrentSession.AssertBatch guarantees), then appends all its
+// Session.AssertBatch guarantees), then appends all its
 // records with one sync under the "batch" policy.
 func (ls *liveSession) assertBatch(annotator string, as []Assertion) error {
 	if len(as) == 0 {
@@ -598,7 +611,7 @@ func (ls *liveSession) assertBatch(annotator string, as []Assertion) error {
 	}
 	recs := make([]wal.Record, len(as))
 	for i, a := range as {
-		if err := ls.cs.s.checkCandidate(a.Cand); err != nil {
+		if err := ls.s.checkCandidate(a.Cand); err != nil {
 			return fmt.Errorf("assertion %d: %w", i, err)
 		}
 		rec, err := ls.record(annotator, a.Cand, a.Approved)
@@ -608,7 +621,7 @@ func (ls *liveSession) assertBatch(annotator string, as []Assertion) error {
 		rec.Seq += uint64(i)
 		recs[i] = rec
 	}
-	if err := ls.cs.AssertBatch(as); err != nil {
+	if err := ls.s.AssertBatch(as); err != nil {
 		return err
 	}
 	ls.recs = append(ls.recs, recs...)
@@ -646,25 +659,17 @@ func (ls *liveSession) addSchema(name string, attrs []string) error {
 	if err := ls.healLocked(); err != nil {
 		return err
 	}
-	// Reject attribute names that would render ambiguously before
-	// anything is applied — recovery resolves by full name.
-	seen := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		if seen[a] {
-			return fmt.Errorf("schemanet: store: session %q: duplicate attribute name %q in new schema %q; refusing unrecoverable schema",
-				ls.name, a, name)
-		}
-		seen[a] = true
-	}
-	rec := wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddSchema,
-		Schema: name, Attrs: append([]string(nil), attrs...),
-	}
-	if err := ls.cs.AddSchema(name, attrs...); err != nil {
+	// AddSchema rejects duplicate attribute names (which would render
+	// ambiguously — recovery resolves by full name) before any state
+	// changes.
+	if err := ls.s.AddSchema(name, attrs...); err != nil {
 		return err
 	}
-	ls.attrIdx = attrIndex(ls.cs.s.Network())
-	return ls.appendTopo(rec)
+	ls.attrIdx = attrIndex(ls.s.Network())
+	return ls.appendTopo(wal.Record{
+		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddSchema,
+		Schema: name, Attrs: append([]string(nil), attrs...),
+	})
 }
 
 // addCandidates appends candidate correspondences to the durable
@@ -680,10 +685,10 @@ func (ls *liveSession) addCandidates(cs []Correspondence) error {
 		return err
 	}
 	rec := wal.Record{Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddCandidates}
-	if err := ls.cs.AddCandidates(cs); err != nil {
+	if err := ls.s.AddCandidates(cs); err != nil {
 		return err
 	}
-	net := ls.cs.s.Network()
+	net := ls.s.Network()
 	rec.Cands = make([]wal.CandRecord, len(cs))
 	for i, c := range cs {
 		cc := c.Canonical()
@@ -704,25 +709,19 @@ func (ls *liveSession) retireCandidate(c int) error {
 	if err := ls.healLocked(); err != nil {
 		return err
 	}
-	if err := ls.cs.s.checkCandidate(c); err != nil {
+	if err := ls.s.checkCandidate(c); err != nil {
 		return err
 	}
-	net := ls.cs.s.Network()
-	cand := net.Candidate(c)
-	rec := wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindRetire,
-		From: net.FullName(cand.A), To: net.FullName(cand.B),
-	}
-	a, okA := ls.attrIdx[rec.From]
-	b, okB := ls.attrIdx[rec.To]
-	if !okA || !okB || net.CandidateIndex(a, b) != c {
-		return fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable retire",
-			ls.name, c, rec.From, rec.To)
-	}
-	if err := ls.cs.RetireCandidate(c); err != nil {
+	from, to, err := ls.names(c, "retire")
+	if err != nil {
 		return err
 	}
-	return ls.appendTopo(rec)
+	if err := ls.s.RetireCandidate(c); err != nil {
+		return err
+	}
+	return ls.appendTopo(wal.Record{
+		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindRetire, From: from, To: to,
+	})
 }
 
 func (ls *liveSession) maybeCompactLocked() {
@@ -747,7 +746,7 @@ func (ls *liveSession) compactLocked() error {
 	state := sessionState{
 		Version:    1,
 		Seq:        uint64(len(ls.recs)),
-		Candidates: ls.cs.s.Network().NumCandidates(),
+		Candidates: ls.s.Network().NumCandidates(),
 		History:    toSaved(ls.recs),
 	}
 	if hasTopology(ls.recs) {
@@ -801,13 +800,13 @@ func (ls *liveSession) retire() error {
 }
 
 // DurableSession is a handle on one named session in a SessionStore:
-// a ConcurrentSession whose assertions are durably logged. Reads
-// (Probability, Uncertainty, Suggest, …) are served lock-free from the
-// resident session's published snapshots; writes apply in memory first
-// and then append to the session's WAL, serialized per session — the
-// WAL is a single append stream, so unlike a bare ConcurrentSession,
-// two writes to the same durable session do not proceed in parallel
-// even on disjoint components (batches still fan out internally).
+// a Session whose assertions are durably logged. Reads (Probability,
+// Uncertainty, Suggest, …) are served from the resident Session as on
+// any Session; writes apply in memory first and then append to the
+// session's WAL, serialized per session — the WAL is a single append
+// stream, so unlike a bare Session, two writes to the same durable
+// session do not proceed in parallel even on disjoint components
+// (batches still fan out internally).
 // An Assert/AssertBatch that returns nil is durable to the degree the
 // store's Sync policy promises.
 //
@@ -828,7 +827,7 @@ func (ds *DurableSession) Name() string { return ds.name }
 func (ds *DurableSession) Network() *Network {
 	net := ds.store.net
 	_ = ds.with(func(ls *liveSession) error {
-		net = ls.cs.Network()
+		net = ls.s.Network()
 		return nil
 	})
 	return net
@@ -904,7 +903,7 @@ func (ds *DurableSession) Suggest() (c int, ok bool) {
 	var gc int
 	var gok bool
 	if err := ds.with(func(ls *liveSession) error {
-		gc, gok = ls.cs.Suggest()
+		gc, gok = ls.s.Suggest()
 		return nil
 	}); err != nil {
 		return 0, false
@@ -917,7 +916,7 @@ func (ds *DurableSession) Probability(c int) (float64, error) {
 	var p float64
 	err := ds.with(func(ls *liveSession) error {
 		var err error
-		p, err = ls.cs.Probability(c)
+		p, err = ls.s.Probability(c)
 		return err
 	})
 	return p, err
@@ -927,7 +926,7 @@ func (ds *DurableSession) Probability(c int) (float64, error) {
 func (ds *DurableSession) Uncertainty() (float64, error) {
 	var h float64
 	err := ds.with(func(ls *liveSession) error {
-		h = ls.cs.Uncertainty()
+		h = ls.s.Uncertainty()
 		return nil
 	})
 	return h, err
@@ -937,7 +936,7 @@ func (ds *DurableSession) Uncertainty() (float64, error) {
 func (ds *DurableSession) Effort() (float64, error) {
 	var e float64
 	err := ds.with(func(ls *liveSession) error {
-		e = ls.cs.Effort()
+		e = ls.s.Effort()
 		return nil
 	})
 	return e, err
@@ -947,7 +946,7 @@ func (ds *DurableSession) Effort() (float64, error) {
 func (ds *DurableSession) Describe(c int) string {
 	out := fmt.Sprintf("<unknown candidate %d>", c)
 	_ = ds.with(func(ls *liveSession) error {
-		out = ls.cs.Describe(c)
+		out = ls.s.Describe(c)
 		return nil
 	})
 	return out
@@ -958,7 +957,7 @@ func (ds *DurableSession) Describe(c int) string {
 func (ds *DurableSession) Violations() (int, error) {
 	var v int
 	err := ds.with(func(ls *liveSession) error {
-		v = ls.cs.Violations()
+		v = ls.s.Violations()
 		return nil
 	})
 	return v, err
@@ -968,7 +967,7 @@ func (ds *DurableSession) Violations() (int, error) {
 func (ds *DurableSession) Instantiate() (*Matching, error) {
 	var m *Matching
 	err := ds.with(func(ls *liveSession) error {
-		m = ls.cs.Instantiate()
+		m = ls.s.Instantiate()
 		return nil
 	})
 	return m, err

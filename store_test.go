@@ -654,6 +654,98 @@ func TestOpenStoreOptionValidation(t *testing.T) {
 	if _, err := schemanet.OpenStore("store", nil, &schemanet.StoreOptions{FS: fsys}); err == nil {
 		t.Error("nil network accepted")
 	}
+	// Session options are checked against the network at open, not at
+	// every later Session(name).
+	for field, so := range map[string]*schemanet.Options{
+		"Samples":        {Samples: -1},
+		"Strategy":       {Strategy: "nope"},
+		"Inference":      {Inference: "psychic"},
+		"ExclusivePairs": {ExclusivePairs: [][2]schemanet.AttrID{{0, schemanet.AttrID(net.NumAttributes())}}},
+	} {
+		_, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{FS: fsys, Session: so})
+		if err == nil || !strings.Contains(err.Error(), "StoreOptions.Session") {
+			t.Errorf("%s: err = %v, want an open-time StoreOptions.Session error", field, err)
+		}
+	}
+}
+
+// TestStoreAddSchemaDuplicateAttribute: a durable AddSchema whose
+// attribute names repeat (they would render ambiguously, and recovery
+// resolves by full name) is rejected before anything is applied or
+// logged.
+func TestStoreAddSchemaDuplicateAttribute(t *testing.T) {
+	net, _ := videoNet(t)
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds, err := st.Session("dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Assert(0, true); err != nil {
+		t.Fatal(err)
+	}
+	nSchemas := ds.Network().NumSchemas()
+	if err := ds.AddSchema("Late", "title", "year", "title"); err == nil || !strings.Contains(err.Error(), "duplicate attribute") {
+		t.Fatalf("AddSchema with a duplicate attribute: err = %v, want a duplicate-attribute error", err)
+	}
+	if seq, _ := ds.Seq(); seq != 1 {
+		t.Fatalf("seq %d after the rejected AddSchema, want 1", seq)
+	}
+	if got := ds.Network().NumSchemas(); got != nSchemas {
+		t.Fatalf("%d schemas after the rejected AddSchema, want %d", got, nSchemas)
+	}
+	if err := ds.AddSchema("Late", "title", "year"); err != nil {
+		t.Fatalf("the same schema without the duplicate: %v", err)
+	}
+	if seq, _ := ds.Seq(); seq != 2 {
+		t.Fatalf("seq %d after AddSchema, want 2", seq)
+	}
+}
+
+// TestStoreStrategyOption: a store session honours
+// StoreOptions.Session.Strategy — under "by-confidence" every
+// suggestion is the highest-confidence unasserted candidate.
+func TestStoreStrategyOption(t *testing.T) {
+	d := benchMultiComponentDataset(t, 120, 4)
+	net := d.Network
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
+		FS: wal.NewMemFS(), Session: &schemanet.Options{Strategy: "by-confidence", Seed: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds, err := st.Session("conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asserted := make(map[int]bool)
+	for step := 0; step < 20; step++ {
+		want := topConfidence(net, asserted)
+		c, ok := ds.Suggest()
+		if !ok || c != want {
+			t.Fatalf("step %d: Suggest = (%d, %v), want the highest-confidence unasserted candidate %d", step, c, ok, want)
+		}
+		if err := ds.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+			t.Fatal(err)
+		}
+		asserted[c] = true
+	}
+}
+
+// topConfidence returns the lowest-id candidate of maximal matcher
+// confidence outside asserted (the by-confidence strategy's choice).
+func topConfidence(net *schemanet.Network, asserted map[int]bool) int {
+	best, bestConf := -1, -1.0
+	for c := 0; c < net.NumCandidates(); c++ {
+		if conf := net.Candidate(c).Confidence; !asserted[c] && conf > bestConf {
+			best, bestConf = c, conf
+		}
+	}
+	return best
 }
 
 // --- Topology crash sweep ---------------------------------------------

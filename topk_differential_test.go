@@ -18,8 +18,8 @@ import (
 	"schemanet/internal/wal"
 )
 
-// suggester is the differential surface shared by Session,
-// ConcurrentSession, and DurableSession.
+// suggester is the differential surface shared by Session and
+// DurableSession.
 type suggester interface {
 	Suggest() (int, bool)
 	Assert(c int, correct bool) error
@@ -218,11 +218,11 @@ func uncertainPerComponent(t *testing.T, s *schemanet.Session, asserted, retired
 func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
 	forEachTopkCap(t, func(t *testing.T, _ bool) {
 		d := benchMultiComponentDataset(t, 240, 4)
-		pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
+		pr, err := schemanet.NewSession(d.Network, topkOptions(false, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := schemanet.NewConcurrentSession(d.Network, topkOptions(true, 4))
+		ex, err := schemanet.NewSession(d.Network, topkOptions(true, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
 }
 
 // TestSuggestPrunedMatchesExhaustiveDurable: the durable surface — the
-// WAL-backed session delegates serving to the concurrent layer, so the
+// WAL-backed session delegates serving to a Session, so the
 // lazy path must survive the record/replay plumbing too.
 func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
 	forEachTopkCap(t, func(t *testing.T, _ bool) {
@@ -267,7 +267,7 @@ func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
 // differential tests above; this test is about the interleavings.
 func TestConcurrentPrunedContention(t *testing.T) {
 	d := benchMultiComponentDataset(t, 240, 4)
-	cs, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
+	cs, err := schemanet.NewSession(d.Network, topkOptions(false, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
