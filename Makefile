@@ -27,7 +27,7 @@ SUGGESTTIME ?= 200x
 # fuzz knob: how long `make fuzz` mutates each target.
 FUZZTIME ?= 20s
 
-.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput bench-e2e race examples fuzz
+.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput bench-e2e race examples fuzz resume-smoke
 
 all: vet lint build test
 
@@ -100,6 +100,25 @@ bench-e2e:
 # surface the examples exercise keeps working end to end.
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null; done; echo "examples OK"
+
+# Resume smoke: cmd/reconcile on a bp dataset (scale 0.4), 10 oracle
+# assertions per run. Two runs share one -store directory, and a -save
+# run is followed by a -resume run; each second run must pick up the
+# first one's assertions. Scratch files stay under .resume_smoke/.
+RESUME := .resume_smoke
+resume-smoke:
+	@set -e; rm -rf $(RESUME); mkdir -p $(RESUME); \
+	$(GO) build -o $(RESUME)/reconcile ./cmd/reconcile; \
+	$(GO) run ./cmd/datagen -profile bp -scale 0.4 -seed 7 -out $(RESUME)/bp.json; \
+	run() { $(RESUME)/reconcile -in $(RESUME)/bp.json -oracle -budget 10 -seed 3 "$$@"; }; \
+	check() { grep -Eq "$$2" $$1 || { echo "resume-smoke: $$1 lacks /$$2/:"; cat $$1; exit 1; }; }; \
+	run -store $(RESUME)/store > $(RESUME)/store1.txt; \
+	run -store $(RESUME)/store > $(RESUME)/store2.txt; \
+	check $(RESUME)/store2.txt '": 10 assertions on record'; \
+	run -save $(RESUME)/saved.json > $(RESUME)/save.txt; \
+	run -resume $(RESUME)/saved.json > $(RESUME)/resume.txt; \
+	check $(RESUME)/resume.txt 'resumed session: [1-9][0-9]*% effort already spent'; \
+	echo "resume-smoke OK"
 
 # Native-fuzz smoke over the decoders that consume externally produced
 # bytes — the session_io decoder (LoadSession), the dataset decoder

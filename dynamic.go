@@ -3,8 +3,10 @@ package schemanet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"schemanet/internal/core"
+	"schemanet/internal/wal"
 )
 
 // Dynamic networks: a live session accepts new schemas, new candidate
@@ -21,35 +23,6 @@ import (
 // index but have probability 0, are never suggested, and accept no
 // feedback.
 var ErrCandidateRetired = core.ErrCandidateRetired
-
-// topoKind discriminates the entries of the session's topology log.
-type topoKind int
-
-const (
-	topoAddSchema topoKind = iota + 1
-	topoAddCandidates
-	topoRetire
-)
-
-// savedCand is one appended candidate in name form (full attribute
-// names survive serialization and replay; indices do not).
-type savedCand struct {
-	From string  `json:"from"`
-	To   string  `json:"to"`
-	Conf float64 `json:"conf"`
-}
-
-// topoOp is one topology mutation, positioned relative to the
-// assertion history (at = number of assertions recorded before the op).
-type topoOp struct {
-	kind   topoKind
-	at     int
-	schema string   // add-schema
-	attrs  []string // add-schema
-	cands  []savedCand
-	from   string // retire
-	to     string // retire
-}
 
 // mutate runs one topology mutator with total exclusion — the write
 // side of topoMu — and rebuilds the per-component tables from the
@@ -90,10 +63,7 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoAddSchema, at: s.pmn.Feedback().Count(),
-		schema: name, attrs: append([]string(nil), attrs...),
-	})
+	s.appendLog(wal.Record{Kind: wal.KindAddSchema, Schema: name, Attrs: slices.Clone(attrs)})
 	return carried, nil
 }
 
@@ -129,14 +99,12 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	saved := make([]savedCand, len(cs))
+	rec := wal.Record{Kind: wal.KindAddCandidates, Cands: make([]wal.CandRecord, len(cs))}
 	for i, c := range cs {
 		cc := c.Canonical()
-		saved[i] = savedCand{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
+		rec.Cands[i] = wal.CandRecord{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoAddCandidates, at: s.pmn.Feedback().Count(), cands: saved,
-	})
+	s.appendLog(rec)
 	return carried, nil
 }
 
@@ -175,8 +143,6 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoRetire, at: s.pmn.Feedback().Count(), from: from, to: to,
-	})
+	s.appendLog(wal.Record{Kind: wal.KindRetire, From: from, To: to})
 	return carried, nil
 }

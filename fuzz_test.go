@@ -2,14 +2,18 @@ package schemanet_test
 
 // Native fuzz target for the session_io decoder: LoadSession consumes
 // externally produced files (saved sessions travel between machines and
-// versions), so arbitrary bytes must produce an error or a working
-// session — never a panic, and never a session whose invariants are
-// broken. Run continuously with `make fuzz`; the seed corpus mirrors
-// the handwritten decoder test cases plus a genuine Save output.
+// versions, and a SessionStore snapshot is a saved session too), so
+// arbitrary bytes must produce an error or a working session — never a
+// panic, and never a session whose invariants are broken. Run
+// continuously with `make fuzz`; the seed corpus mirrors the
+// handwritten decoder test cases plus a genuine Save output and store
+// snapshots of both versions.
 
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,12 +56,38 @@ func FuzzLoadSession(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte(saved.String()))
+	// …and store snapshots: Version 2 (grown network) and Version 1,
+	// both with seq and annotators.
+	snap, err := os.ReadFile(filepath.Join("testdata", "formats", "store_snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add([]byte(`{"version":1,"seq":2,"candidates":5,"history":[
+		{"from":"EoverI.productionDate","to":"BBC.date","approved":true,"annotator":"alice"},
+		{"from":"BBC.date","to":"DVDizzy.screenDate","approved":false,"annotator":"bob"}]}`))
 
 	opts := &schemanet.Options{Seed: 7}
+	save := func(t *testing.T, s *schemanet.Session) []byte {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("Save of a loaded session: %v", err)
+		}
+		return buf.Bytes()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := schemanet.LoadSession(net, opts, bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is the expected outcome
+		}
+		// Accepted input re-saves to a file that loads to the same log.
+		resaved := save(t, restored)
+		again, err := schemanet.LoadSession(net, opts, bytes.NewReader(resaved))
+		if err != nil {
+			t.Fatalf("re-saved file rejected: %v\ninput %q\nre-saved %s", err, data, resaved)
+		}
+		if got := save(t, again); !bytes.Equal(got, resaved) {
+			t.Fatalf("log changed across a save/load round:\n%s\nvs\n%s", got, resaved)
 		}
 		// Accepted input must yield a coherent session: finite non-negative
 		// uncertainty, in-range probabilities, a usable suggest/assert loop.

@@ -13,6 +13,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Clone returns a deep copy of the network that can be mutated
@@ -50,10 +51,27 @@ func (n *Network) Clone() *Network {
 // graph (late arrivals are expected to be matched against the whole
 // network). Validation mirrors Builder.AddSchema: the schema name must
 // be new and attribute names non-empty and unique within the schema.
+// Growth must also keep every existing full name pointing at the same
+// attribute, since saved sessions and logs resolve attributes by full
+// name: an attribute whose full name an existing attribute already
+// prints ("A" with "b.c" vs a late "A.b" with "c") is rejected.
 func (n *Network) AppendSchema(name string, attrNames ...string) (SchemaID, error) {
 	for _, s := range n.schemas {
 		if s.Name == name {
 			return 0, fmt.Errorf("schema %q: duplicate schema name", name)
+		}
+		// Full names collide only when one schema name extends the other
+		// past a dot.
+		if !strings.HasPrefix(name, s.Name+".") && !strings.HasPrefix(s.Name, name+".") {
+			continue
+		}
+		for _, a := range s.Attrs {
+			for _, an := range attrNames {
+				if full := n.FullName(a); full == name+"."+an {
+					return 0, fmt.Errorf("schema %q: attribute %q: full name %q already names an attribute of schema %q",
+						name, an, full, s.Name)
+				}
+			}
 		}
 	}
 	seen := make(map[string]bool, len(attrNames))

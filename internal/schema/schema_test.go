@@ -340,3 +340,29 @@ func TestDescribeCandidate(t *testing.T) {
 		t.Fatalf("DescribeCandidate = %q", s)
 	}
 }
+
+// TestAppendSchemaFullNameCollision: growth must not make an existing
+// full name ambiguous — saved sessions and logs resolve attributes by
+// full name — whichever of the two schema names extends the other.
+func TestAppendSchemaFullNameCollision(t *testing.T) {
+	net, _, _, _ := videoNetwork(t)
+	for _, tc := range []struct {
+		first, second [2]string // schema, attribute
+		full          string
+	}{
+		{[2]string{"X", "a.b"}, [2]string{"X.a", "b"}, "X.a.b"},
+		{[2]string{"Y.p", "q"}, [2]string{"Y", "p.q"}, "Y.p.q"},
+	} {
+		if _, err := net.AppendSchema(tc.first[0], tc.first[1]); err != nil {
+			t.Fatal(err)
+		}
+		n := net.NumAttributes()
+		_, err := net.AppendSchema(tc.second[0], "other", tc.second[1])
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.full+`"`) {
+			t.Fatalf("AppendSchema(%q, other, %q): err = %v, want a collision on %q", tc.second[0], tc.second[1], err, tc.full)
+		}
+		if got := net.NumAttributes(); got != n {
+			t.Fatalf("%d attributes after the rejected append, want %d", got, n)
+		}
+	}
+}

@@ -21,35 +21,65 @@ const (
 	KindRetire
 )
 
+// kindNames are the kinds' text forms, as saved sessions spell them.
+var kindNames = [...]string{
+	KindAssert:        "assert",
+	KindAddSchema:     "add-schema",
+	KindAddCandidates: "add-candidates",
+	KindRetire:        "retire",
+}
+
+// MarshalText renders the kind as its saved-session name ("assert",
+// "add-schema", "add-candidates", "retire").
+func (k RecordKind) MarshalText() ([]byte, error) {
+	if int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("wal: unknown record kind %d", k)
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText parses a saved-session kind name.
+func (k *RecordKind) UnmarshalText(b []byte) error {
+	for i, name := range kindNames {
+		if string(b) == name {
+			*k = RecordKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("wal: unknown record kind %q", b)
+}
+
 // CandRecord is one appended candidate correspondence inside a
 // KindAddCandidates record, in attribute full-name form.
 type CandRecord struct {
-	From string
-	To   string
-	Conf float64
+	From string  `json:"from"`
+	To   string  `json:"to"`
+	Conf float64 `json:"conf"`
 }
 
-// Record is one durably logged session operation. Candidates are
-// referenced by attribute full names (as in saved sessions), so a WAL
-// survives candidate reordering across versions; Seq is the session's
-// monotonic operation sequence number, continuous across snapshot
-// compactions — recovery uses it to drop WAL records a snapshot
-// already covers.
+// Record is one logged session operation — the one operation log a
+// session keeps, appends to its WAL, and saves. Candidates are
+// referenced by attribute full names, so the log survives candidate
+// reordering across versions; Seq is the session's monotonic operation
+// sequence number, continuous across snapshot compactions — recovery
+// uses it to drop WAL records a snapshot already covers.
 //
 // Field use by kind: KindAssert sets From/To (the asserted pair),
 // Approved, and optionally Annotator. KindAddSchema sets Schema and
 // Attrs. KindAddCandidates sets Cands. KindRetire sets From/To (the
-// retired pair). Unused fields are zero.
+// retired pair). Unused fields are zero. The JSON tags give the
+// Version 2 saved-session form of one operation, where the position in
+// the operation list stands in for Seq.
 type Record struct {
-	Seq       uint64
-	Kind      RecordKind
-	Annotator string
-	From      string
-	To        string
-	Approved  bool
-	Schema    string       // KindAddSchema
-	Attrs     []string     // KindAddSchema
-	Cands     []CandRecord // KindAddCandidates
+	Seq       uint64       `json:"-"`
+	Kind      RecordKind   `json:"kind"`
+	From      string       `json:"from,omitempty"`
+	To        string       `json:"to,omitempty"`
+	Approved  bool         `json:"approved,omitempty"`
+	Annotator string       `json:"annotator,omitempty"`
+	Schema    string       `json:"schema,omitempty"` // KindAddSchema
+	Attrs     []string     `json:"attrs,omitempty"`  // KindAddSchema
+	Cands     []CandRecord `json:"cands,omitempty"`  // KindAddCandidates
 }
 
 // SyncPolicy says when an Append call fsyncs the log.

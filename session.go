@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"schemanet/internal/core"
 	"schemanet/internal/instantiate"
 	"schemanet/internal/schema"
+	"schemanet/internal/wal"
 )
 
 // Session is a pay-as-you-go reconciliation session over one network:
@@ -40,8 +42,9 @@ import (
 //     deterministic rng stream, so a component-disjoint assertion
 //     schedule yields bit-identical probabilities however the
 //     goroutines interleave.
-//   - Instantiate, Save, Suggest under a non-default strategy, and the
-//     topology mutators take exclusive access.
+//   - Instantiate, Suggest under a non-default strategy, and the
+//     topology mutators take exclusive access. Save only copies the
+//     operation log, under the feedback lock.
 //
 // Driven from one goroutine, a Session makes the same suggestions,
 // computes the same probabilities, and consumes its rng exactly as a
@@ -61,11 +64,14 @@ type Session struct {
 	// paths (see export_test.go): both lack the component machinery the
 	// topology mutators ride on.
 	fixedTopology bool
-	// topoOps logs the session's topology mutations interleaved with the
-	// assertion history (each op records the history length at the time
-	// it was applied), so Save can serialize and LoadSession replay the
-	// exact grow/assert interleaving. See session_io.go.
-	topoOps []topoOp
+	// log is the session's one operation log: every assertion (with its
+	// annotator) and every topology mutation, in arrival order and name
+	// form, numbered from Seq 1. Assertions append under feedMu, topology
+	// mutations under topoMu's write side, so a reader holds topoMu's
+	// read side and feedMu (logSince). Save, LoadSession, and the
+	// SessionStore's WAL, snapshots and recovery all read this log; see
+	// session_io.go.
+	log []wal.Record
 
 	// topoMu guards the component universe itself: every public method
 	// holds the read side (the network, the partition, and the tables
@@ -80,8 +86,8 @@ type Session struct {
 	// batchMu closes AssertBatch's record→apply window against the
 	// whole-network operations: a batch holds the read side from before
 	// it records the feedback until every component group is applied,
-	// and lockAll takes the write side first, so Instantiate and Save
-	// never observe feedback recorded for a batch whose stores are still
+	// and lockAll takes the write side first, so Instantiate never
+	// observes feedback recorded for a batch whose stores are still
 	// pre-batch.
 	batchMu sync.RWMutex
 	// locks[k] serializes all maintenance of component k. Multi-lock
@@ -98,7 +104,8 @@ type Session struct {
 	// so a reader that observes dirty[k] == false loads a snapshot at
 	// least as fresh as the clearing writer's.
 	dirty []atomic.Bool
-	// feedMu guards the PMN-global feedback (history + F±).
+	// feedMu guards the PMN-global feedback (history + F±) and the
+	// assertion appends to log.
 	feedMu sync.Mutex
 	// rngMu guards the session rng. Every draw holds it: Suggest's
 	// tie-break and fallback draws, Instantiate, Strategy.Next, and the
@@ -327,17 +334,25 @@ func (s *Session) rankComponent(k int) *core.ComponentSnapshot {
 // publication is coalesced (the component is marked dirty). It returns
 // ErrUnknownCandidate (wrapped) when c is outside the candidate
 // universe and an error when c was already asserted (no state changes).
-func (s *Session) Assert(c int, correct bool) error {
+func (s *Session) Assert(c int, correct bool) error { return s.assertAs("", c, correct) }
+
+// assertAs is Assert with the annotator recorded in the operation log —
+// the entry point DurableSession.AssertAs uses.
+func (s *Session) assertAs(annotator string, c int, correct bool) error {
 	s.topoMu.RLock()
 	defer s.topoMu.RUnlock()
 	if err := s.checkCandidate(c); err != nil {
 		return err
 	}
+	rec := s.assertRecord(annotator, c, correct)
 	k := s.pmn.ComponentOf(c)
 	s.locks[k].Lock()
 	defer s.locks[k].Unlock()
 	s.feedMu.Lock()
 	err := s.pmn.RecordAssertion(c, correct)
+	if err == nil {
+		s.appendLog(rec)
+	}
 	s.feedMu.Unlock()
 	if err != nil {
 		return err
@@ -345,6 +360,43 @@ func (s *Session) Assert(c int, correct bool) error {
 	s.apply(k, []Assertion{{Cand: c, Approved: correct}})
 	s.dirty[k].Store(true)
 	return nil
+}
+
+// assertRecord renders an assertion of candidate c as a log record;
+// the caller holds topoMu's read side.
+func (s *Session) assertRecord(annotator string, c int, approved bool) wal.Record {
+	net := s.pmn.Network()
+	cand := net.Candidate(c)
+	return wal.Record{
+		Kind: wal.KindAssert, Annotator: annotator,
+		From: net.FullName(cand.A), To: net.FullName(cand.B), Approved: approved,
+	}
+}
+
+// appendLog numbers rec as the next operation and appends it to the
+// log; the caller holds the lock that orders the operation (feedMu, or
+// topoMu's write side).
+func (s *Session) appendLog(rec wal.Record) {
+	rec.Seq = uint64(len(s.log)) + 1
+	s.log = append(s.log, rec)
+}
+
+// logLen returns how many operations the log holds.
+func (s *Session) logLen() int {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
+	return len(s.log)
+}
+
+// logSince returns a copy of the operation log from position n on.
+func (s *Session) logSince(n int) []wal.Record {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
+	return slices.Clone(s.log[n:])
 }
 
 // apply runs component k's maintenance for recorded assertions; the
@@ -368,15 +420,28 @@ func (s *Session) apply(k int, as []Assertion) {
 // republished under its own lock. Per-component rng streams keep the
 // result identical to applying the same batch serially.
 func (s *Session) AssertBatch(assertions []Assertion) error {
+	return s.assertBatch(assertions, nil)
+}
+
+// assertBatch is AssertBatch with annotators[i] recorded in the
+// operation log for assertions[i]; nil annotators record none. The
+// SessionStore and the log replay enter here.
+func (s *Session) assertBatch(assertions []Assertion, annotators []string) error {
 	if len(assertions) == 0 {
 		return nil
 	}
 	s.topoMu.RLock()
 	defer s.topoMu.RUnlock()
+	recs := make([]wal.Record, len(assertions))
 	for i, a := range assertions {
 		if err := s.checkCandidate(a.Cand); err != nil {
 			return fmt.Errorf("assertion %d: %w", i, err)
 		}
+		var annotator string
+		if annotators != nil {
+			annotator = annotators[i]
+		}
+		recs[i] = s.assertRecord(annotator, a.Cand, a.Approved)
 	}
 	s.batchMu.RLock()
 	defer s.batchMu.RUnlock()
@@ -385,11 +450,12 @@ func (s *Session) AssertBatch(assertions []Assertion) error {
 		s.feedMu.Unlock()
 		return err
 	}
-	for _, a := range assertions {
+	for i, a := range assertions {
 		if err := s.pmn.RecordAssertion(a.Cand, a.Approved); err != nil {
 			// Unreachable after validation; surface loudly if it happens.
 			panic(err)
 		}
+		s.appendLog(recs[i])
 	}
 	s.feedMu.Unlock()
 

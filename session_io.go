@@ -5,25 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
-	"schemanet/internal/core"
+	"schemanet/internal/wal"
 )
 
-// sessionState is the serialized form of a session. Version 1 is the
-// assertion history in order; Version 2 — written whenever the session
-// mutated its topology (AddSchema, AddCandidates, RetireCandidate) —
-// is the full interleaved operation stream, so replay reconstructs the
-// network growth between the assertions exactly as it happened.
-// Probabilities are not persisted — they are recomputed
-// deterministically from the network, the options, and the replayed
-// operations. A session that never changed topology still writes
-// Version 1, so files stay readable by older loaders.
+// sessionState is the serialized form of a session's operation log.
+// Version 1 is the assertion history in order; Version 2 — written
+// whenever the log holds a topology mutation (AddSchema,
+// AddCandidates, RetireCandidate) — is the full interleaved operation
+// stream, so replay reconstructs the network growth between the
+// assertions exactly as it happened. Probabilities are not persisted —
+// they are recomputed deterministically from the network, the options,
+// and the replayed operations. A session that never changed topology
+// still writes Version 1, so files stay readable by older loaders.
 //
 // The same format doubles as the SessionStore's snapshot file: there,
 // Seq records the WAL sequence number the snapshot covers (recovery
-// drops WAL records at or below it), and each entry may carry the
-// asserting annotator. Plain Session.Save leaves both zero — a
-// snapshot is always also a loadable saved session.
+// drops WAL records at or below it). Plain Session.Save leaves Seq
+// zero — a snapshot is always also a loadable saved session. Entries
+// carry the asserting annotator either way.
 type sessionState struct {
 	Version    int              `json:"version"`
 	Seq        uint64           `json:"seq,omitempty"`
@@ -31,26 +32,12 @@ type sessionState struct {
 	History    []savedAssertion `json:"history,omitempty"`
 	// Ops is the Version 2 payload: assertions and topology mutations in
 	// arrival order. History is empty when Ops is present.
-	Ops []savedOp `json:"ops,omitempty"`
+	Ops []wal.Record `json:"ops,omitempty"`
 }
 
-// savedOp is one Version 2 operation: an assertion ("assert") or a
-// topology mutation ("add-schema", "add-candidates", "retire").
-// Candidates are referenced by attribute full names, like Version 1
-// history entries, so the stream survives candidate reindexing.
-type savedOp struct {
-	Kind      string      `json:"kind"`
-	From      string      `json:"from,omitempty"` // assert, retire
-	To        string      `json:"to,omitempty"`   // assert, retire
-	Approved  bool        `json:"approved,omitempty"`
-	Annotator string      `json:"annotator,omitempty"`
-	Schema    string      `json:"schema,omitempty"` // add-schema
-	Attrs     []string    `json:"attrs,omitempty"`  // add-schema
-	Cands     []savedCand `json:"cands,omitempty"`  // add-candidates
-}
-
-// savedAssertion references a correspondence by its attribute names so
-// saved sessions survive candidate reordering across versions.
+// savedAssertion is one Version 1 history entry. It references a
+// correspondence by its attribute names so saved sessions survive
+// candidate reordering across versions.
 type savedAssertion struct {
 	From      string `json:"from"`
 	To        string `json:"to"`
@@ -58,99 +45,92 @@ type savedAssertion struct {
 	Annotator string `json:"annotator,omitempty"`
 }
 
-// Save writes the session's feedback so reconciliation can resume later
-// (see LoadSession). The pay-as-you-go workflow spans days in practice;
-// the expert's assertions are the only state worth keeping.
+// encodeLog renders an operation log in the saved-session file form:
+// Version 1 when the log holds only assertions, Version 2 otherwise.
+// seq is the WAL sequence number a store snapshot covers; Save passes 0.
+func encodeLog(log []wal.Record, seq uint64, candidates int) ([]byte, error) {
+	st := sessionState{Version: 1, Seq: seq, Candidates: candidates}
+	if slices.ContainsFunc(log, func(r wal.Record) bool { return r.Kind != wal.KindAssert }) {
+		st.Version, st.Ops = 2, log
+	} else {
+		st.History = make([]savedAssertion, len(log))
+		for i, r := range log {
+			st.History[i] = savedAssertion{From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator}
+		}
+	}
+	buf, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("schemanet: encoding session: %w", err)
+	}
+	return append(buf, '\n'), nil
+}
+
+// decodeLog parses a saved session or store snapshot (either version)
+// into its operation log, numbered from Seq 1, and the WAL sequence
+// number it covers (0 for a plain Save). JSON-level failures carry
+// their byte offset.
+func decodeLog(r io.Reader) (log []wal.Record, seq uint64, err error) {
+	var st sessionState
+	if err := json.NewDecoder(r).Decode(&st); err != nil {
+		var syn *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		switch {
+		case errors.As(err, &syn):
+			return nil, 0, fmt.Errorf("schemanet: decoding session at byte offset %d: %w", syn.Offset, err)
+		case errors.As(err, &typ):
+			return nil, 0, fmt.Errorf("schemanet: decoding session at byte offset %d, field %q: %w", typ.Offset, typ.Field, err)
+		default:
+			return nil, 0, fmt.Errorf("schemanet: decoding session: %w", err)
+		}
+	}
+	switch st.Version {
+	case 1:
+		log = make([]wal.Record, len(st.History))
+		for i, sa := range st.History {
+			log[i] = wal.Record{From: sa.From, To: sa.To, Approved: sa.Approved, Annotator: sa.Annotator}
+		}
+	case 2:
+		log = st.Ops
+	default:
+		return nil, 0, fmt.Errorf("schemanet: unsupported session version %d", st.Version)
+	}
+	for i := range log {
+		log[i].Seq = uint64(i + 1)
+	}
+	return log, st.Seq, nil
+}
+
+// Save writes the session's operation log so reconciliation can resume
+// later (see LoadSession). The pay-as-you-go workflow spans days in
+// practice; the expert's assertions are the only state worth keeping.
 //
-// Save validates before writing: every history entry must resolve from
-// its attribute names back to the asserted candidate (an ambiguous
-// FullName — two attributes sharing a printed name — would make the
-// file unloadable). On any error nothing is written to w: the state is
+// Save validates before writing: every asserted candidate must resolve
+// from its attribute names back to itself (an ambiguous FullName — two
+// attributes sharing a printed name — would make the file
+// unloadable). On any error nothing is written to w: the state is
 // marshaled in memory and emitted with a single Write, so a failed
 // Save can never leave a half-written session file behind. Concurrent
-// assertions are excluded from the saved history, not torn: Save takes
-// exclusive access while it captures the state.
+// operations are excluded from the saved log, not torn: Save copies the
+// log under the locks that order its appends.
 func (s *Session) Save(w io.Writer) error {
 	s.topoMu.RLock()
-	s.lockAll()
-	st, err := s.sessionState()
-	s.unlockAll()
+	net := s.pmn.Network()
+	idx := attrIndex(net)
+	s.feedMu.Lock()
+	var err error
+	for i, a := range s.pmn.Feedback().History() {
+		if err = resolveBack(net, idx, a.Cand); err != nil {
+			err = fmt.Errorf("schemanet: save: history entry %d: %w", i, err)
+			break
+		}
+	}
+	log, n := slices.Clone(s.log), net.NumCandidates()
+	s.feedMu.Unlock()
 	s.topoMu.RUnlock()
 	if err != nil {
 		return err
 	}
-	return writeSessionState(w, st)
-}
-
-// sessionState snapshots the assertion history (and, for sessions that
-// mutated their topology, the interleaved operation stream) in
-// saveable, validated form.
-func (s *Session) sessionState() (sessionState, error) {
-	net := s.pmn.Network()
-	hist := s.pmn.Feedback().History()
-	rendered := make([]savedAssertion, len(hist))
-	for i, a := range hist {
-		c := net.Candidate(a.Cand)
-		rendered[i] = savedAssertion{
-			From:     net.FullName(c.A),
-			To:       net.FullName(c.B),
-			Approved: a.Approved,
-		}
-	}
-	// Rendered names resolve against the final network even for
-	// assertions recorded before later growth: attributes are never
-	// removed, and an asserted candidate can never be retired, so its
-	// pair lookup stays stable.
-	if err := validateSaveable(net, rendered, hist); err != nil {
-		return sessionState{}, err
-	}
-	if len(s.topoOps) == 0 {
-		return sessionState{Version: 1, Candidates: net.NumCandidates(), History: rendered}, nil
-	}
-	st := sessionState{Version: 2, Candidates: net.NumCandidates()}
-	hi := 0
-	emitAsserts := func(upto int) {
-		for ; hi < upto && hi < len(rendered); hi++ {
-			sa := rendered[hi]
-			st.Ops = append(st.Ops, savedOp{Kind: "assert", From: sa.From, To: sa.To, Approved: sa.Approved})
-		}
-	}
-	for _, op := range s.topoOps {
-		emitAsserts(op.at)
-		switch op.kind {
-		case topoAddSchema:
-			st.Ops = append(st.Ops, savedOp{Kind: "add-schema", Schema: op.schema, Attrs: op.attrs})
-		case topoAddCandidates:
-			st.Ops = append(st.Ops, savedOp{Kind: "add-candidates", Cands: op.cands})
-		case topoRetire:
-			st.Ops = append(st.Ops, savedOp{Kind: "retire", From: op.from, To: op.to})
-		}
-	}
-	emitAsserts(len(rendered))
-	return st, nil
-}
-
-// validateSaveable proves each rendered history entry resolves back to
-// the candidate it was rendered from, so the file LoadSession sees is
-// guaranteed loadable.
-func validateSaveable(net *Network, hist []savedAssertion, src []core.Assertion) error {
-	idx := attrIndex(net)
-	for i, sa := range hist {
-		a, err := resolveSaved(net, idx, i, sa)
-		if err != nil {
-			return fmt.Errorf("schemanet: save: %w", err)
-		}
-		if a.Cand != src[i].Cand {
-			return fmt.Errorf("schemanet: save: history entry %d: %q ↔ %q resolves to candidate %d, not the asserted %d (ambiguous attribute name)",
-				i, sa.From, sa.To, a.Cand, src[i].Cand)
-		}
-	}
-	return nil
-}
-
-// writeSessionState marshals st and emits it with one Write.
-func writeSessionState(w io.Writer, st sessionState) error {
-	buf, err := marshalSessionState(st)
+	buf, err := encodeLog(log, 0, n)
 	if err != nil {
 		return err
 	}
@@ -158,12 +138,18 @@ func writeSessionState(w io.Writer, st sessionState) error {
 	return err
 }
 
-func marshalSessionState(st sessionState) ([]byte, error) {
-	buf, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("schemanet: encoding session: %w", err)
+// resolveBack proves that candidate c's attribute full names resolve
+// back to c through idx (see attrIndex), so a log that names c replays
+// onto c. Save checks every asserted candidate with it; the
+// SessionStore checks each candidate an operation names before
+// applying it.
+func resolveBack(net *Network, idx map[string]AttrID, c int) error {
+	cand := net.Candidate(c)
+	from, to := net.FullName(cand.A), net.FullName(cand.B)
+	if net.CandidateIndex(idx[from], idx[to]) != c {
+		return fmt.Errorf("candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name)", c, from, to)
 	}
-	return append(buf, '\n'), nil
+	return nil
 }
 
 // attrIndex maps every attribute's full name to its id.
@@ -177,10 +163,10 @@ func attrIndex(net *Network) map[string]AttrID {
 	return idx
 }
 
-// resolveSaved resolves one saved history entry to a core assertion.
-// Errors carry the history index and the offending field, so a corrupt
-// record in a large file is diagnosable without a hex dump.
-func resolveSaved(net *Network, idx map[string]AttrID, i int, sa savedAssertion) (core.Assertion, error) {
+// resolvePair resolves the attribute full names of log record i to a
+// candidate of net. Errors name the record and the offending field, so
+// a corrupt record in a large file is diagnosable without a hex dump.
+func resolvePair(net *Network, idx map[string]AttrID, i int, from, to string) (int, error) {
 	resolve := func(field, name string) (AttrID, error) {
 		if name == "" {
 			return 0, fmt.Errorf("session entry %d, field %q: empty attribute name", i, field)
@@ -191,154 +177,76 @@ func resolveSaved(net *Network, idx map[string]AttrID, i int, sa savedAssertion)
 		}
 		return a, nil
 	}
-	a, err := resolve("from", sa.From)
+	a, err := resolve("from", from)
 	if err != nil {
-		return core.Assertion{}, err
+		return 0, err
 	}
-	b, err := resolve("to", sa.To)
+	b, err := resolve("to", to)
 	if err != nil {
-		return core.Assertion{}, err
+		return 0, err
 	}
 	c := net.CandidateIndex(a, b)
 	if c < 0 {
-		return core.Assertion{}, fmt.Errorf("session entry %d: %s ↔ %s is not a candidate correspondence",
-			i, sa.From, sa.To)
+		return 0, fmt.Errorf("session entry %d: %s ↔ %s is not a candidate correspondence", i, from, to)
 	}
-	return core.Assertion{Cand: c, Approved: sa.Approved}, nil
+	return c, nil
 }
 
-// resolveHistory resolves a full saved history, rejecting duplicates
-// with both positions named.
-func resolveHistory(net *Network, hist []savedAssertion) ([]core.Assertion, error) {
-	idx := attrIndex(net)
-	batch := make([]core.Assertion, 0, len(hist))
-	first := make(map[int]int, len(hist))
-	for i, sa := range hist {
-		a, err := resolveSaved(net, idx, i, sa)
-		if err != nil {
-			return nil, err
-		}
-		if j, dup := first[a.Cand]; dup {
-			return nil, fmt.Errorf("session entry %d: duplicate assertion for %s ↔ %s (first at entry %d)",
-				i, sa.From, sa.To, j)
-		}
-		first[a.Cand] = i
-		batch = append(batch, a)
-	}
-	return batch, nil
-}
-
-// replaySession builds a fresh session for net and batch-applies a
-// resolved history: the whole history is view-maintained first and
-// each touched component is refilled and recomputed once at the end —
-// at most one resampling round per touched component. LoadSession and
-// the SessionStore's WAL recovery both restore through this one path.
-func replaySession(net *Network, opts *Options, hist []savedAssertion) (*Session, error) {
-	s, err := NewSession(net, opts)
-	if err != nil {
-		return nil, err
-	}
-	batch, err := resolveHistory(net, hist)
-	if err != nil {
-		return nil, fmt.Errorf("schemanet: %w", err)
-	}
-	if len(batch) == 0 {
-		return s, nil
-	}
-	if err := s.AssertBatch(batch); err != nil {
-		return nil, fmt.Errorf("schemanet: replaying session history: %w", err)
-	}
-	return s, nil
-}
-
-// resolveSavedCands resolves an add-candidates op's name-form
-// correspondences against the (current, mid-replay) network.
-func resolveSavedCands(net *Network, i int, scs []savedCand) ([]Correspondence, error) {
-	idx := attrIndex(net)
-	out := make([]Correspondence, len(scs))
-	for j, sc := range scs {
-		a, ok := idx[sc.From]
-		if !ok {
-			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, sc.From)
-		}
-		b, ok := idx[sc.To]
-		if !ok {
-			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, sc.To)
-		}
-		out[j] = Correspondence{A: a, B: b, Confidence: sc.Conf}
-	}
-	return out, nil
-}
-
-// replaySessionOps restores a Version 2 session: topology mutations are
-// applied through the same public mutators a live session uses, and the
-// assertions between two mutations are batch-applied against the
-// network state of that moment. Under exact inference the result is
+// replayLog rebuilds a session for net from an operation log.
+// Topology records go through the same mutators a live session uses,
+// and each run of assertions between two of them is resolved against
+// the network of that moment and batch-applied: view-maintained first,
+// then each touched component refilled and recomputed once — at most
+// one resampling round per touched component per run. Annotators carry
+// into the rebuilt session's log. Under exact inference the result is
 // bit-identical to the live session (assertion filtering is
-// order-independent within a segment); rebuilt components draw their
+// order-independent within a run); rebuilt components draw their
 // content-derived sampler streams exactly as the live mutation did.
-func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, error) {
+// LoadSession and the SessionStore's recovery both restore through
+// this one path.
+func replayLog(net *Network, opts *Options, log []wal.Record) (*Session, error) {
 	s, err := NewSession(net, opts)
 	if err != nil {
 		return nil, err
 	}
-	var pending []savedAssertion
+	idx := attrIndex(s.pmn.Network())
+	first := make(map[int]int) // candidate → log index of its assertion
+	var batch []Assertion
+	var annotators []string
 	flush := func() error {
-		if len(pending) == 0 {
+		if len(batch) == 0 {
 			return nil
 		}
-		batch, err := resolveHistory(s.Network(), pending)
+		err := s.assertBatch(batch, annotators)
+		batch, annotators = batch[:0], annotators[:0]
 		if err != nil {
-			return fmt.Errorf("schemanet: %w", err)
-		}
-		pending = pending[:0]
-		if err := s.AssertBatch(batch); err != nil {
 			return fmt.Errorf("schemanet: replaying session history: %w", err)
 		}
 		return nil
 	}
-	for i, op := range ops {
-		switch op.Kind {
-		case "assert":
-			pending = append(pending, savedAssertion{From: op.From, To: op.To, Approved: op.Approved, Annotator: op.Annotator})
-		case "add-schema":
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			if err := s.AddSchema(op.Schema, op.Attrs...); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
-			}
-		case "add-candidates":
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			cs, err := resolveSavedCands(s.Network(), i, op.Cands)
+	for i, r := range log {
+		if r.Kind == wal.KindAssert {
+			c, err := resolvePair(s.pmn.Network(), idx, i, r.From, r.To)
 			if err != nil {
 				return nil, fmt.Errorf("schemanet: %w", err)
 			}
-			if err := s.AddCandidates(cs); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
+			if j, dup := first[c]; dup {
+				return nil, fmt.Errorf("schemanet: session entry %d: duplicate assertion for %s ↔ %s (first at entry %d)",
+					i, r.From, r.To, j)
 			}
-		case "retire":
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			cur := s.Network()
-			idx := attrIndex(cur)
-			a, oka := idx[op.From]
-			b, okb := idx[op.To]
-			if !oka || !okb {
-				return nil, fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, op.From, op.To)
-			}
-			c := cur.CandidateIndex(a, b)
-			if c < 0 {
-				return nil, fmt.Errorf("schemanet: session op %d: retire target %s ↔ %s is not a live candidate", i, op.From, op.To)
-			}
-			if err := s.RetireCandidate(c); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
-			}
-		default:
-			return nil, fmt.Errorf("schemanet: session op %d: unknown kind %q", i, op.Kind)
+			first[c] = i
+			batch = append(batch, Assertion{Cand: c, Approved: r.Approved})
+			annotators = append(annotators, r.Annotator)
+			continue
+		}
+		if err := flush(); err != nil {
+			return nil, err
+		}
+		if err := replayTopology(s, idx, i, r); err != nil {
+			return nil, err
+		}
+		if r.Kind == wal.KindAddSchema {
+			idx = attrIndex(s.pmn.Network())
 		}
 	}
 	if err := flush(); err != nil {
@@ -347,32 +255,41 @@ func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, err
 	return s, nil
 }
 
-// decodeSessionState parses a saved session, annotating JSON-level
-// failures with their byte offset.
-func decodeSessionState(r io.Reader) (sessionState, error) {
-	var st sessionState
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&st); err != nil {
-		var syn *json.SyntaxError
-		var typ *json.UnmarshalTypeError
-		switch {
-		case errors.As(err, &syn):
-			return st, fmt.Errorf("schemanet: decoding session at byte offset %d: %w", syn.Offset, err)
-		case errors.As(err, &typ):
-			return st, fmt.Errorf("schemanet: decoding session at byte offset %d, field %q: %w", typ.Offset, typ.Field, err)
-		default:
-			return st, fmt.Errorf("schemanet: decoding session: %w", err)
+// replayTopology applies topology record i of a log through the live
+// mutator, resolving its names through idx.
+func replayTopology(s *Session, idx map[string]AttrID, i int, r wal.Record) error {
+	var err error
+	switch r.Kind {
+	case wal.KindAddSchema:
+		err = s.AddSchema(r.Schema, r.Attrs...)
+	case wal.KindAddCandidates:
+		cs := make([]Correspondence, len(r.Cands))
+		for j, sc := range r.Cands {
+			a, oka := idx[sc.From]
+			b, okb := idx[sc.To]
+			if !oka || !okb {
+				return fmt.Errorf("schemanet: session entry %d, candidate %d: unknown attribute in %q ↔ %q", i, j, sc.From, sc.To)
+			}
+			cs[j] = Correspondence{A: a, B: b, Confidence: sc.Conf}
 		}
+		err = s.AddCandidates(cs)
+	case wal.KindRetire:
+		c, rerr := resolvePair(s.pmn.Network(), idx, i, r.From, r.To)
+		if rerr != nil {
+			return fmt.Errorf("schemanet: %w", rerr)
+		}
+		err = s.RetireCandidate(c)
 	}
-	if st.Version != 1 && st.Version != 2 {
-		return st, fmt.Errorf("schemanet: unsupported session version %d", st.Version)
+	if err != nil {
+		return fmt.Errorf("schemanet: session entry %d: %w", i, err)
 	}
-	return st, nil
+	return nil
 }
 
-// LoadSession builds a fresh session for net and replays the feedback
-// previously written by Save. The network must contain every asserted
-// correspondence (same or compatible candidate set).
+// LoadSession builds a fresh session for net and replays the operation
+// log previously written by Save (or a SessionStore snapshot). The
+// network must contain every asserted correspondence (same or
+// compatible candidate set).
 //
 // The replayed assertions are batch-applied: the whole history is
 // view-maintained first and each touched component is refilled and
@@ -381,7 +298,8 @@ func decodeSessionState(r io.Reader) (sessionState, error) {
 // replaying through Session.Assert would. Under exact inference the
 // result is identical to a step-by-step replay; with sampled
 // probabilities it is statistically equivalent (the estimates come
-// from fresh samples either way).
+// from fresh samples either way). Annotator ids recorded in the file
+// carry into the restored session, so a later Save keeps them.
 //
 // Per-component inference modes are derived state and are not
 // persisted: the batch replay reconstructs them deterministically.
@@ -400,15 +318,12 @@ func decodeSessionState(r io.Reader) (sessionState, error) {
 // assertions in arrival order — to reconstruct the final session.
 //
 // Decoder errors carry positional context: the byte offset for JSON
-// syntax and type failures, the history index and field for records
+// syntax and type failures, the entry index and field for records
 // that do not resolve against net.
 func LoadSession(net *Network, opts *Options, r io.Reader) (*Session, error) {
-	st, err := decodeSessionState(r)
+	log, _, err := decodeLog(r)
 	if err != nil {
 		return nil, err
 	}
-	if st.Version == 2 {
-		return replaySessionOps(net, opts, st.Ops)
-	}
-	return replaySession(net, opts, st.History)
+	return replayLog(net, opts, log)
 }

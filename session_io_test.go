@@ -1,7 +1,12 @@
 package schemanet_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +121,10 @@ func TestLoadSessionErrorContext(t *testing.T) {
 			{"from":"BBC.date","to":"DVDizzy.releaseDate","approved":true},
 			{"from":"BBC.date","to":"DVDizzy.releaseDate","approved":false}]}`,
 			[]string{"entry 1", "duplicate", "first at entry 0"}},
+		{"unknown kind", `{"version":2,"ops":[{"kind":"rename","from":"BBC.date"}]}`,
+			[]string{"decoding session", `unknown record kind "rename"`}},
+		{"v2 retire non-candidate", `{"version":2,"ops":[{"kind":"retire","from":"BBC.date","to":"BBC.date"}]}`,
+			[]string{"entry 0", "not a candidate"}},
 	}
 	for _, tc := range cases {
 		_, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact"}, strings.NewReader(tc.in))
@@ -221,5 +230,58 @@ func TestSessionSaveLoadMultiComponent(t *testing.T) {
 	}
 	if got, want := restored.Uncertainty(), s.Uncertainty(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("restored uncertainty %v, want %v", got, want)
+	}
+}
+
+// TestSaveKeepsStoreAnnotators: a SessionStore snapshot loaded with
+// LoadSession and saved again keeps every annotator id — the
+// per-annotator log quality-aware matching learns from — and a second
+// load/save round is byte-stable.
+func TestSaveKeepsStoreAnnotators(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := &schemanet.Options{Inference: "exact", Seed: 1}
+	snap, err := os.ReadFile(filepath.Join("testdata", "formats", "store_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	annotators := func(data []byte) []string {
+		var st struct {
+			Ops []struct {
+				Kind      string `json:"kind"`
+				Annotator string `json:"annotator"`
+			} `json:"ops"`
+		}
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, op := range st.Ops {
+			if op.Kind == "assert" {
+				out = append(out, op.Annotator)
+			}
+		}
+		return out
+	}
+	resave := func(data []byte) []byte {
+		s, err := schemanet.LoadSession(net, opts, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := annotators(snap)
+	if !slices.Equal(want, []string{"alice", "bob"}) {
+		t.Fatalf("fixture annotators %q", want)
+	}
+	saved := resave(snap)
+	if got := annotators(saved); !slices.Equal(got, want) {
+		t.Fatalf("re-saved annotators %q, want %q", got, want)
+	}
+	if again := resave(saved); !bytes.Equal(again, saved) {
+		t.Fatalf("second load/save changed the file:\n%s\nvs\n%s", again, saved)
 	}
 }

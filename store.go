@@ -12,9 +12,10 @@ import (
 	"schemanet/internal/wal"
 )
 
-// AssertionRecord is one durably logged assertion: who asserted which
-// correspondence (by attribute full names), in which direction, and
-// its position in the session's monotonic sequence. See internal/wal.
+// AssertionRecord is one entry of a session's operation log: who
+// asserted which correspondence (by attribute full names) in which
+// direction — or which topology mutation arrived — and its position in
+// the session's monotonic sequence. See internal/wal.
 type AssertionRecord = wal.Record
 
 // ErrStoreClosed reports an operation on a closed SessionStore (or a
@@ -77,8 +78,10 @@ type StoreOptions struct {
 //	<root>/<name>/wal.log       append-only assertion WAL
 //	<root>/<name>/snapshot.json session state at sequence N (atomic)
 //
-// Every Assert/AssertBatch on a session appends CRC-framed records to
-// its WAL (fsynced per the Sync policy) after applying them in memory;
+// Every write on a session (assertions and topology mutations) appends
+// the records it added to the session's operation log to its WAL as
+// CRC-framed frames (fsynced per the Sync policy) after applying them
+// in memory;
 // periodic compaction writes a snapshot covering the whole history and
 // truncates the WAL, so reopening a long-lived session replays one
 // snapshot plus a short log tail. Recovery is torn-write tolerant: a
@@ -108,24 +111,23 @@ type SessionStore struct {
 	closed bool
 }
 
-// liveSession is one resident session: the in-memory Session plus its
-// WAL handle and full logical history. walMu serializes every mutation
-// (memory apply + WAL append + compaction); reads go straight to the
-// Session's lock-free snapshots. Lock order: SessionStore.mu may be
+// liveSession is one resident session: the in-memory Session, whose
+// operation log is the session's history, plus its WAL handle. walMu
+// serializes every mutation (memory apply + WAL append + compaction);
+// reads go straight to the Session. Lock order: SessionStore.mu may be
 // held while taking walMu, never the reverse.
 type liveSession struct {
 	store   *SessionStore
 	name    string
 	dir     string
 	s       *Session
-	attrIdx map[string]AttrID
+	attrIdx map[string]AttrID // the Session network's, for the resolve-back guard
 
 	walMu     sync.Mutex
-	log       *wal.Log
-	recs      []wal.Record // full history; recs[i].Seq == i+1
-	snapCount int          // prefix of recs covered by the on-disk snapshot
-	broken    bool         // a WAL append failed; heal (compact) before appending more
-	retired   bool         // files closed; entry no longer usable
+	wal       *wal.Log
+	snapCount int  // prefix of the Session's log the on-disk snapshot covers
+	broken    bool // a WAL append failed; heal (compact) before appending more
+	retired   bool // files closed; entry no longer usable
 
 	refs    int    // in-flight operations, guarded by store.mu
 	lastUse uint64 // LRU stamp, guarded by store.mu
@@ -332,8 +334,9 @@ func (st *SessionStore) evictLocked() {
 	}
 }
 
-// openLocked loads (or creates) a session from its directory:
-// snapshot, then WAL tail, replayed in one batch. Called with store.mu
+// openLocked loads (or creates) a session from its directory: the
+// snapshot's log, then the WAL tail, replayed through replayLog (the
+// LoadSession path). Called with store.mu
 // held — recovery cost is bounded by compaction, but it does serialize
 // against other opens.
 func (st *SessionStore) openLocked(name string) (*liveSession, error) {
@@ -347,32 +350,16 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 
 	// Snapshot, if any. Its Seq is the WAL sequence number it covers; a
 	// plain Session.Save dropped in as snapshot.json (Seq 0) counts as
-	// covering its own history — the supported migration path. A
-	// Version 2 snapshot (a session that mutated its topology) carries
-	// the interleaved operation stream; both forms normalize to records.
+	// covering its own history — the supported migration path.
 	var snapRecs []wal.Record
 	snapSeq := uint64(0)
 	data, err := st.fs.ReadFile(filepath.Join(dir, snapshotFile))
 	switch {
 	case err == nil:
-		snap, derr := decodeSessionState(bytes.NewReader(data))
-		if derr != nil {
-			return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, derr)
+		snapRecs, snapSeq, err = decodeLog(bytes.NewReader(data))
+		if err != nil {
+			return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, err)
 		}
-		if snap.Version == 2 {
-			snapRecs, derr = opsToRecords(snap.Ops)
-			if derr != nil {
-				return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, derr)
-			}
-		} else {
-			for i, sa := range snap.History {
-				snapRecs = append(snapRecs, wal.Record{
-					Seq: uint64(i + 1), Annotator: sa.Annotator,
-					From: sa.From, To: sa.To, Approved: sa.Approved,
-				})
-			}
-		}
-		snapSeq = snap.Seq
 		if snapSeq == 0 {
 			snapSeq = uint64(len(snapRecs))
 		}
@@ -400,21 +387,21 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 	// acknowledged durable — everything from the gap on is dropped.
 	recs := snapRecs
 	dirty := false // on-disk state needs a normalizing compaction
-	for _, r := range walRecs {
+	for i, r := range walRecs {
 		if r.Seq <= snapSeq {
 			dirty = true
 			continue
 		}
 		if r.Seq != uint64(len(recs))+1 {
 			st.logf("schemanet: store: session %q: dropping %d WAL record(s) after sequence gap (%d after %d) — never acknowledged durable",
-				name, len(walRecs), r.Seq, uint64(len(recs)))
+				name, len(walRecs)-i, r.Seq, uint64(len(recs)))
 			dirty = true
 			break
 		}
 		recs = append(recs, r)
 	}
 
-	s, err := replaySessionOps(st.net, st.sopts, recordsToOps(recs))
+	s, err := replayLog(st.net, st.sopts, recs)
 	if err != nil {
 		l.Close()
 		return nil, fmt.Errorf("schemanet: store: session %q: %w", name, err)
@@ -425,7 +412,7 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		// attrIdx reflects the session's own (possibly grown) network,
 		// not the store's base network.
 		s: s, attrIdx: attrIndex(s.Network()),
-		log: l, recs: recs, snapCount: min(int(snapSeq), len(recs)),
+		wal: l, snapCount: int(snapSeq),
 	}
 	if dirty {
 		// Normalize now: snapshot the stitched history and truncate the
@@ -437,115 +424,6 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		}
 	}
 	return ls, nil
-}
-
-// toSaved renders WAL records in saved-session form.
-func toSaved(recs []wal.Record) []savedAssertion {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]savedAssertion, len(recs))
-	for i, r := range recs {
-		out[i] = savedAssertion{From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator}
-	}
-	return out
-}
-
-// recordsToOps renders the unified record history as a Version 2
-// operation stream for replay.
-func recordsToOps(recs []wal.Record) []savedOp {
-	out := make([]savedOp, len(recs))
-	for i, r := range recs {
-		switch r.Kind {
-		case wal.KindAddSchema:
-			out[i] = savedOp{Kind: "add-schema", Schema: r.Schema, Attrs: r.Attrs}
-		case wal.KindAddCandidates:
-			cands := make([]savedCand, len(r.Cands))
-			for j, c := range r.Cands {
-				cands[j] = savedCand{From: c.From, To: c.To, Conf: c.Conf}
-			}
-			out[i] = savedOp{Kind: "add-candidates", Cands: cands}
-		case wal.KindRetire:
-			out[i] = savedOp{Kind: "retire", From: r.From, To: r.To}
-		default:
-			out[i] = savedOp{Kind: "assert", From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator}
-		}
-	}
-	return out
-}
-
-// opsToRecords inverts recordsToOps for a Version 2 snapshot's
-// operation stream, re-numbering from sequence 1.
-func opsToRecords(ops []savedOp) ([]wal.Record, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	out := make([]wal.Record, len(ops))
-	for i, op := range ops {
-		rec := wal.Record{Seq: uint64(i + 1)}
-		switch op.Kind {
-		case "assert":
-			rec.From, rec.To, rec.Approved, rec.Annotator = op.From, op.To, op.Approved, op.Annotator
-		case "add-schema":
-			rec.Kind, rec.Schema, rec.Attrs = wal.KindAddSchema, op.Schema, op.Attrs
-		case "add-candidates":
-			rec.Kind = wal.KindAddCandidates
-			rec.Cands = make([]wal.CandRecord, len(op.Cands))
-			for j, c := range op.Cands {
-				rec.Cands[j] = wal.CandRecord{From: c.From, To: c.To, Conf: c.Conf}
-			}
-		case "retire":
-			rec.Kind, rec.From, rec.To = wal.KindRetire, op.From, op.To
-		default:
-			return nil, fmt.Errorf("snapshot op %d: unknown kind %q", i, op.Kind)
-		}
-		out[i] = rec
-	}
-	return out, nil
-}
-
-// hasTopology reports whether the history holds any topology record —
-// the trigger for Version 2 snapshots.
-func hasTopology(recs []wal.Record) bool {
-	for _, r := range recs {
-		if r.Kind != wal.KindAssert {
-			return true
-		}
-	}
-	return false
-}
-
-// names renders candidate c by its attributes' full names and proves
-// the pair resolves back to c on recovery (the guard Save applies);
-// what names the refused operation for the error.
-func (ls *liveSession) names(c int, what string) (from, to string, err error) {
-	net := ls.s.Network()
-	cand := net.Candidate(c)
-	from, to = net.FullName(cand.A), net.FullName(cand.B)
-	a, okA := ls.attrIdx[from]
-	b, okB := ls.attrIdx[to]
-	if !okA || !okB || net.CandidateIndex(a, b) != c {
-		return "", "", fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable %s",
-			ls.name, c, from, to, what)
-	}
-	return from, to, nil
-}
-
-// record renders candidate c as the next WAL record.
-func (ls *liveSession) record(annotator string, c int, approved bool) (wal.Record, error) {
-	if ls.s.Network().Retired(c) {
-		// Checked before the resolve-back guard: a retired candidate no
-		// longer resolves by name at all.
-		return wal.Record{}, fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
-	}
-	from, to, err := ls.names(c, "assertion")
-	if err != nil {
-		return wal.Record{}, err
-	}
-	return wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Annotator: annotator,
-		From: from, To: to, Approved: approved,
-	}, nil
 }
 
 // healLocked is the gate after a failed WAL append: no further records
@@ -564,168 +442,8 @@ func (ls *liveSession) healLocked() error {
 	return nil
 }
 
-// assert applies one assertion in memory, then appends it durably.
-func (ls *liveSession) assert(annotator string, c int, approved bool) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	if err := ls.s.checkCandidate(c); err != nil {
-		return err
-	}
-	rec, err := ls.record(annotator, c, approved)
-	if err != nil {
-		return err
-	}
-	if err := ls.s.Assert(c, approved); err != nil {
-		return err
-	}
-	ls.recs = append(ls.recs, rec)
-	if err := ls.log.Append(rec); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: assertion applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// assertBatch applies a batch atomically in memory (all-or-nothing, as
-// Session.AssertBatch guarantees), then appends all its
-// records with one sync under the "batch" policy.
-func (ls *liveSession) assertBatch(annotator string, as []Assertion) error {
-	if len(as) == 0 {
-		return nil
-	}
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	recs := make([]wal.Record, len(as))
-	for i, a := range as {
-		if err := ls.s.checkCandidate(a.Cand); err != nil {
-			return fmt.Errorf("assertion %d: %w", i, err)
-		}
-		rec, err := ls.record(annotator, a.Cand, a.Approved)
-		if err != nil {
-			return err
-		}
-		rec.Seq += uint64(i)
-		recs[i] = rec
-	}
-	if err := ls.s.AssertBatch(as); err != nil {
-		return err
-	}
-	ls.recs = append(ls.recs, recs...)
-	if err := ls.log.Append(recs...); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: batch applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// appendTopo durably logs one already-applied topology record. The
-// mutation is live in memory either way; a failed append trips the
-// heal gate so the next successful compaction persists it.
-func (ls *liveSession) appendTopo(rec wal.Record) error {
-	ls.recs = append(ls.recs, rec)
-	if err := ls.log.Append(rec); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: topology change applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// addSchema registers a new schema on the durable session: applied in
-// memory, then appended to the WAL as a KindAddSchema record.
-func (ls *liveSession) addSchema(name string, attrs []string) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	// AddSchema rejects duplicate attribute names (which would render
-	// ambiguously — recovery resolves by full name) before any state
-	// changes.
-	if err := ls.s.AddSchema(name, attrs...); err != nil {
-		return err
-	}
-	ls.attrIdx = attrIndex(ls.s.Network())
-	return ls.appendTopo(wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddSchema,
-		Schema: name, Attrs: append([]string(nil), attrs...),
-	})
-}
-
-// addCandidates appends candidate correspondences to the durable
-// session: applied in memory, then logged as one KindAddCandidates
-// record (names resolve against the already-grown network).
-func (ls *liveSession) addCandidates(cs []Correspondence) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	rec := wal.Record{Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddCandidates}
-	if err := ls.s.AddCandidates(cs); err != nil {
-		return err
-	}
-	net := ls.s.Network()
-	rec.Cands = make([]wal.CandRecord, len(cs))
-	for i, c := range cs {
-		cc := c.Canonical()
-		rec.Cands[i] = wal.CandRecord{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
-	}
-	return ls.appendTopo(rec)
-}
-
-// retireCandidate withdraws candidate c from the durable session:
-// applied in memory, then logged as a KindRetire record. The pair names
-// are captured (and proven resolvable) before the tombstone lands.
-func (ls *liveSession) retireCandidate(c int) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	if err := ls.s.checkCandidate(c); err != nil {
-		return err
-	}
-	from, to, err := ls.names(c, "retire")
-	if err != nil {
-		return err
-	}
-	if err := ls.s.RetireCandidate(c); err != nil {
-		return err
-	}
-	return ls.appendTopo(wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindRetire, From: from, To: to,
-	})
-}
-
 func (ls *liveSession) maybeCompactLocked() {
-	if len(ls.recs)-ls.snapCount < ls.store.snapEvery {
+	if ls.s.logLen()-ls.snapCount < ls.store.snapEvery {
 		return
 	}
 	// The triggering assertion is already durable in the WAL; a failed
@@ -743,24 +461,16 @@ func (ls *liveSession) maybeCompactLocked() {
 // lost.
 func (ls *liveSession) compactLocked() error {
 	st := ls.store
-	state := sessionState{
-		Version:    1,
-		Seq:        uint64(len(ls.recs)),
-		Candidates: ls.s.Network().NumCandidates(),
-		History:    toSaved(ls.recs),
-	}
-	if hasTopology(ls.recs) {
-		state.Version, state.History, state.Ops = 2, nil, recordsToOps(ls.recs)
-	}
-	buf, err := marshalSessionState(state)
+	log := ls.s.logSince(0)
+	buf, err := encodeLog(log, uint64(len(log)), ls.s.Network().NumCandidates())
 	if err != nil {
 		return err
 	}
 	if err := wal.AtomicWriteFile(st.fs, ls.dir, filepath.Join(ls.dir, snapshotFile), buf); err != nil {
 		return fmt.Errorf("schemanet: store: session %q: writing snapshot: %w", ls.name, err)
 	}
-	ls.snapCount = len(ls.recs)
-	if err := ls.log.Reset(uint64(len(ls.recs))); err != nil {
+	ls.snapCount = len(log)
+	if err := ls.wal.Reset(uint64(len(log))); err != nil {
 		// Snapshot is durable; the stale WAL only costs recovery a
 		// dedup pass. Appends will fail until a Reset lands, tripping
 		// the heal gate.
@@ -786,13 +496,13 @@ func (ls *liveSession) retire() error {
 	} else if err := ls.compactLocked(); err != nil {
 		// Everything acknowledged is in the WAL; make sure it is
 		// physically down before letting go of the memory copy.
-		if serr := ls.log.Sync(); serr != nil {
+		if serr := ls.wal.Sync(); serr != nil {
 			return fmt.Errorf("schemanet: store: session %q: cannot retire safely: compaction failed (%v) and WAL sync failed: %w",
 				ls.name, err, serr)
 		}
 		ls.store.logf("schemanet: store: session %q: retiring with stale snapshot (compaction failed: %v); WAL is synced", ls.name, err)
 	}
-	if err := ls.log.Close(); err != nil {
+	if err := ls.wal.Close(); err != nil {
 		ls.store.logf("schemanet: store: session %q: closing WAL: %v", ls.name, err)
 	}
 	ls.retired = true
@@ -825,11 +535,10 @@ func (ds *DurableSession) Name() string { return ds.name }
 // any schemas and candidates this session added (each durable session
 // owns a private copy that its topology mutations grow).
 func (ds *DurableSession) Network() *Network {
-	net := ds.store.net
-	_ = ds.with(func(ls *liveSession) error {
-		net = ls.s.Network()
-		return nil
-	})
+	net, err := read(ds, func(s *Session) (*Network, error) { return s.Network(), nil })
+	if err != nil {
+		return ds.store.net
+	}
 	return net
 }
 
@@ -841,6 +550,64 @@ func (ds *DurableSession) with(fn func(*liveSession) error) error {
 	}
 	defer ds.store.release(ls)
 	return fn(ls)
+}
+
+// read serves one read from the resident Session.
+func read[T any](ds *DurableSession, fn func(*Session) (T, error)) (T, error) {
+	var out T
+	err := ds.with(func(ls *liveSession) (err error) {
+		out, err = fn(ls.s)
+		return err
+	})
+	return out, err
+}
+
+// write is the one durable write path. Under the session's walMu it
+// passes the heal gate, proves that every candidate the operation names
+// resolves back by name (the guard Save applies — an unrecoverable
+// record is refused before anything is applied), applies op to the
+// resident Session, appends the Session log's new suffix to the WAL,
+// and compacts when due. what names the operation in errors.
+func (ds *DurableSession) write(what string, cands []int, op func(*Session) error) error {
+	return ds.with(func(ls *liveSession) error {
+		ls.walMu.Lock()
+		defer ls.walMu.Unlock()
+		if ls.retired {
+			return ErrStoreClosed
+		}
+		if err := ls.healLocked(); err != nil {
+			return err
+		}
+		net := ls.s.Network()
+		for _, c := range cands {
+			// The Session rejects out-of-universe and retired candidates
+			// itself (a retired one no longer resolves by name at all).
+			if c < 0 || c >= net.NumCandidates() || net.Retired(c) {
+				continue
+			}
+			if err := resolveBack(net, ls.attrIdx, c); err != nil {
+				return fmt.Errorf("schemanet: store: session %q: %w; refusing unrecoverable %s", ls.name, err, what)
+			}
+		}
+		n := ls.s.logLen()
+		if err := op(ls.s); err != nil {
+			return err
+		}
+		recs := ls.s.logSince(n)
+		if len(recs) == 0 {
+			return nil
+		}
+		if recs[0].Kind == wal.KindAddSchema {
+			ls.attrIdx = attrIndex(net)
+		}
+		if err := ls.wal.Append(recs...); err != nil {
+			ls.broken = true
+			return fmt.Errorf("schemanet: store: session %q: %s applied but not durably logged (will persist via next successful compaction): %w",
+				ls.name, what, err)
+		}
+		ls.maybeCompactLocked()
+		return nil
+	})
 }
 
 // Assert durably integrates an expert statement about candidate c,
@@ -858,7 +625,7 @@ func (ds *DurableSession) Assert(c int, correct bool) error {
 // assertion log quality-aware matching learns from) and does not
 // affect inference.
 func (ds *DurableSession) AssertAs(annotator string, c int, correct bool) error {
-	return ds.with(func(ls *liveSession) error { return ls.assert(annotator, c, correct) })
+	return ds.write("assertion", []int{c}, func(s *Session) error { return s.assertAs(annotator, c, correct) })
 }
 
 // AssertBatch durably integrates many assertions at once with no
@@ -873,7 +640,12 @@ func (ds *DurableSession) AssertBatch(as []Assertion) error {
 // to the WAL as consecutive records — one fsync for the whole batch
 // under the default "batch" policy.
 func (ds *DurableSession) AssertBatchAs(annotator string, as []Assertion) error {
-	return ds.with(func(ls *liveSession) error { return ls.assertBatch(annotator, as) })
+	cands := make([]int, len(as))
+	annotators := make([]string, len(as))
+	for i, a := range as {
+		cands[i], annotators[i] = a.Cand, annotator
+	}
+	return ds.write("batch", cands, func(s *Session) error { return s.assertBatch(as, annotators) })
 }
 
 // AddSchema registers a new schema on the durable session (see
@@ -881,122 +653,79 @@ func (ds *DurableSession) AssertBatchAs(annotator string, as []Assertion) error 
 // to the WAL as a topology record, so recovery re-grows the network at
 // exactly this point of the history.
 func (ds *DurableSession) AddSchema(name string, attrs ...string) error {
-	return ds.with(func(ls *liveSession) error { return ls.addSchema(name, attrs) })
+	return ds.write("topology change", nil, func(s *Session) error { return s.AddSchema(name, attrs...) })
 }
 
 // AddCandidates appends candidate correspondences to the durable
 // session (see Session.AddCandidates), durably logged as one topology
 // record.
 func (ds *DurableSession) AddCandidates(correspondences []Correspondence) error {
-	return ds.with(func(ls *liveSession) error { return ls.addCandidates(correspondences) })
+	return ds.write("topology change", nil, func(s *Session) error { return s.AddCandidates(correspondences) })
 }
 
 // RetireCandidate withdraws candidate c from the durable session (see
 // Session.RetireCandidate), durably logged as a topology record.
 func (ds *DurableSession) RetireCandidate(c int) error {
-	return ds.with(func(ls *liveSession) error { return ls.retireCandidate(c) })
+	return ds.write("retire", []int{c}, func(s *Session) error { return s.RetireCandidate(c) })
 }
 
 // Suggest returns the most informative unasserted candidate, from the
 // resident session's published snapshots.
 func (ds *DurableSession) Suggest() (c int, ok bool) {
-	var gc int
-	var gok bool
-	if err := ds.with(func(ls *liveSession) error {
-		gc, gok = ls.s.Suggest()
-		return nil
-	}); err != nil {
-		return 0, false
-	}
-	return gc, gok
+	c, err := read(ds, func(s *Session) (int, error) {
+		var sc int
+		sc, ok = s.Suggest()
+		return sc, nil
+	})
+	return c, ok && err == nil
 }
 
 // Probability returns the current probability of candidate c.
 func (ds *DurableSession) Probability(c int) (float64, error) {
-	var p float64
-	err := ds.with(func(ls *liveSession) error {
-		var err error
-		p, err = ls.s.Probability(c)
-		return err
-	})
-	return p, err
+	return read(ds, func(s *Session) (float64, error) { return s.Probability(c) })
 }
 
 // Uncertainty returns the network uncertainty H(C, P) (Equation 3).
 func (ds *DurableSession) Uncertainty() (float64, error) {
-	var h float64
-	err := ds.with(func(ls *liveSession) error {
-		h = ls.s.Uncertainty()
-		return nil
-	})
-	return h, err
+	return read(ds, func(s *Session) (float64, error) { return s.Uncertainty(), nil })
 }
 
 // Effort returns the fraction of candidates asserted so far.
 func (ds *DurableSession) Effort() (float64, error) {
-	var e float64
-	err := ds.with(func(ls *liveSession) error {
-		e = ls.s.Effort()
-		return nil
-	})
-	return e, err
+	return read(ds, func(s *Session) (float64, error) { return s.Effort(), nil })
 }
 
 // Describe renders candidate c (a placeholder when out of universe).
 func (ds *DurableSession) Describe(c int) string {
-	out := fmt.Sprintf("<unknown candidate %d>", c)
-	_ = ds.with(func(ls *liveSession) error {
-		out = ls.s.Describe(c)
-		return nil
-	})
-	return out
+	d, err := read(ds, func(s *Session) (string, error) { return s.Describe(c), nil })
+	if err != nil {
+		return fmt.Sprintf("<unknown candidate %d>", c)
+	}
+	return d
 }
 
 // Violations returns the number of distinct constraint violations
 // among the raw candidate correspondences.
 func (ds *DurableSession) Violations() (int, error) {
-	var v int
-	err := ds.with(func(ls *liveSession) error {
-		v = ls.s.Violations()
-		return nil
-	})
-	return v, err
+	return read(ds, func(s *Session) (int, error) { return s.Violations(), nil })
 }
 
 // Instantiate derives a trusted matching from the current state.
 func (ds *DurableSession) Instantiate() (*Matching, error) {
-	var m *Matching
-	err := ds.with(func(ls *liveSession) error {
-		m = ls.s.Instantiate()
-		return nil
-	})
-	return m, err
+	return read(ds, func(s *Session) (*Matching, error) { return s.Instantiate(), nil })
 }
 
-// History returns the session's durable assertion history in order —
-// the per-annotator audit log. The slice is a copy.
+// History returns the session's operation log in order — assertions
+// with their annotators (the per-annotator audit log) and topology
+// records. The slice is a copy.
 func (ds *DurableSession) History() ([]AssertionRecord, error) {
-	var out []AssertionRecord
-	err := ds.with(func(ls *liveSession) error {
-		ls.walMu.Lock()
-		defer ls.walMu.Unlock()
-		out = append(out, ls.recs...)
-		return nil
-	})
-	return out, err
+	return read(ds, func(s *Session) ([]AssertionRecord, error) { return s.logSince(0), nil })
 }
 
-// Seq returns the sequence number of the last recorded assertion (0
+// Seq returns the sequence number of the last recorded operation (0
 // for a fresh session).
 func (ds *DurableSession) Seq() (uint64, error) {
-	var seq uint64
-	err := ds.with(func(ls *liveSession) error {
-		ls.walMu.Lock()
-		defer ls.walMu.Unlock()
-		seq = uint64(len(ls.recs))
-		return nil
-	})
-	return seq, err
+	return read(ds, func(s *Session) (uint64, error) { return uint64(s.logLen()), nil })
 }
 
 // Compact snapshots the session now and truncates its WAL.
@@ -1024,6 +753,6 @@ func (ds *DurableSession) Sync() error {
 		if ls.retired {
 			return ErrStoreClosed
 		}
-		return ls.log.Sync()
+		return ls.wal.Sync()
 	})
 }

@@ -962,3 +962,78 @@ func TestStoreCrashAtEveryTopologyOp(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreRecoveryStitchesOverlapAndGap: a WAL that overlaps the
+// snapshot and then skips a sequence number recovers to the contiguous
+// prefix, logs how many records the gap dropped, and leaves an empty
+// WAL behind after the normalizing compaction at open.
+func TestStoreRecoveryStitchesOverlapAndGap(t *testing.T) {
+	net, _ := videoNet(t)
+	fsys := wal.NewMemFS()
+	lc := &logCapture{}
+	sopts := &schemanet.StoreOptions{Session: &schemanet.Options{Inference: "exact", Seed: 3}, FS: fsys, Logf: lc.logf}
+	st, err := schemanet.OpenStore("store", net, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := st.Session("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AssertAs("alice", 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AssertAs("bob", 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil { // snapshot covers seq 2, WAL empty
+		t.Fatal(err)
+	}
+
+	rec := func(seq uint64, c int, annotator string) wal.Record {
+		cand := net.Candidate(c)
+		return wal.Record{Seq: seq, Annotator: annotator, From: net.FullName(cand.A), To: net.FullName(cand.B)}
+	}
+	dir := filepath.Join("store", "alpha")
+	walPath := filepath.Join(dir, "wal.log")
+	l, _, _, err := wal.Open(fsys, dir, walPath, wal.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seq 2 overlaps the snapshot, 3 extends it, 5 and 6 follow a gap.
+	if err := l.Append(rec(2, 1, "bob"), rec(3, 3, "carol"), rec(5, 4, "dave"), rec(6, 2, "dave")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := schemanet.OpenStore("store", net, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	ds2, err := st2.Session("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := ds2.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wal.Record{rec(1, 0, "alice"), rec(2, 1, "bob"), rec(3, 3, "carol")}
+	want[0].Approved = true
+	if !reflect.DeepEqual(hist, want) {
+		t.Fatalf("recovered history\n%+v\nwant\n%+v", hist, want)
+	}
+	if !lc.contains("dropping 2 WAL record(s) after sequence gap (5 after 3)") {
+		t.Fatalf("gap warning missing or miscounted; log: %q", lc.lines)
+	}
+	data, err := fsys.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, res := wal.Recover(data); len(recs) != 0 || !res.Clean() {
+		t.Fatalf("WAL after the normalizing compaction holds %d record(s) (%v), want none", len(recs), res.Tail)
+	}
+}

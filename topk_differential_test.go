@@ -1,9 +1,10 @@
 package schemanet_test
 
 // Differential tests for the lazy bound-pruned top-k suggestion
-// ranking: on every session surface (plain, concurrent, durable) the
-// pruned path must produce suggestions, probabilities, and uncertainty
-// bit-identical to the exhaustive reference ranking (WithExhaustiveRank)
+// ranking: on both session surfaces — Session, driven serially and from
+// concurrent goroutines, and DurableSession — the pruned path must
+// produce suggestions, probabilities, and uncertainty bit-identical to
+// the exhaustive reference ranking (WithExhaustiveRank)
 // — over randomized assert/grow/retire interleavings, since topology
 // changes carry or invalidate the evaluator's cached bounds — on both
 // sides of the co-count-matrix cap. This file runs under `go test
