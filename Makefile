@@ -73,6 +73,9 @@ bench-smoke:
 	# core-layer gain-pass microbenchmark.
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
+	# Matcher layer: both candidate generators on BP (scale 0.4 and 1)
+	# and UAF at scale 0.5.
+	$(GO) test -run '^$$' -bench '^BenchmarkMatcher$$' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 
 # Multi-core throughput rig: the Throughput benchmarks at each GOMAXPROCS
 # in BENCHCPUS, reported as medians plus a scaling table (ratio vs the

@@ -224,16 +224,26 @@ func BenchmarkInstantiate(b *testing.B) {
 }
 
 // BenchmarkMatcher measures the two candidate generators on a quick BP
-// dataset.
+// dataset and on the two matcher-heavy shapes of the end-to-end
+// benchmark: BP at scale 1 and UAF at scale 0.5.
 func BenchmarkMatcher(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	d := datagen.MustGenerate(datagen.Scale(datagen.BP(), 0.4), rng)
-	for _, m := range []matcher.Matcher{matcher.NewCOMALike(), matcher.NewAMCLike()} {
-		b.Run(m.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = m.Match(d.Network)
-			}
-		})
+	for _, c := range []struct {
+		name    string
+		profile datagen.Profile
+		seed    int64
+	}{
+		{"bp-0.4", datagen.Scale(datagen.BP(), 0.4), 7},
+		{"bp-1", datagen.BP(), 1},
+		{"uaf-0.5", datagen.Scale(datagen.UAF(), 0.5), 1},
+	} {
+		d := datagen.MustGenerate(c.profile, rand.New(rand.NewSource(c.seed)))
+		for _, m := range []matcher.Matcher{matcher.NewCOMALike(), matcher.NewAMCLike()} {
+			b.Run(c.name+"/"+m.Name(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = m.Match(d.Network)
+				}
+			})
+		}
 	}
 }
 

@@ -8,16 +8,16 @@ import "schemanet/internal/schema"
 // one of the two candidate generators (§VI-A).
 type Composite struct {
 	name     string
-	measures MeasureSet
+	measures []Measure
 	weights  []float64
 	agg      Aggregator
 	selector Selector
 }
 
 // NewComposite builds a composite matcher. weights may be nil (parallel
-// to the measures returned by the measure set otherwise); agg defaults
-// to WeightedAgg and selector to Threshold{0.5} when nil.
-func NewComposite(name string, measures MeasureSet, weights []float64, agg Aggregator, selector Selector) *Composite {
+// to measures otherwise); agg defaults to WeightedAgg and selector to
+// Threshold{0.5} when nil.
+func NewComposite(name string, measures []Measure, weights []float64, agg Aggregator, selector Selector) *Composite {
 	if agg == nil {
 		agg = WeightedAgg
 	}
@@ -32,23 +32,29 @@ func (c *Composite) Name() string { return c.name }
 
 // Match implements Matcher.
 func (c *Composite) Match(net *schema.Network) []schema.Correspondence {
-	measures := c.measures(corpusOf(net))
-	score := func(rows, cols []schema.AttrID) *Matrix {
-		// Per-call scratch: matchEdges scores edges concurrently.
-		scores := make([]float64, len(measures))
+	score := func(t []Row, rows, cols []schema.AttrID, s *Scratch) *Matrix {
+		scores := make([]float64, len(c.measures))
 		m := NewMatrix(rows, cols)
 		for i, ra := range rows {
 			for j, cb := range cols {
-				an, bn := net.AttrName(ra), net.AttrName(cb)
-				for k, meas := range measures {
-					scores[k] = meas.Fn(an, bn)
-				}
-				m.Set(i, j, c.agg(scores, c.weights))
+				m.Set(i, j, c.score(&t[ra], &t[cb], s, scores))
 			}
 		}
 		return m
 	}
 	return matchEdges(net, score, c.selector)
+}
+
+// score aggregates the measures over one pair; scores is scratch
+// parallel to c.measures. A pair with a token-free side scores 0.
+func (c *Composite) score(a, b *Row, s *Scratch, scores []float64) float64 {
+	if a.emptyCanon() || b.emptyCanon() {
+		return 0
+	}
+	for k, meas := range c.measures {
+		scores[k] = meas.Fn(a, b, s)
+	}
+	return c.agg(scores, c.weights)
 }
 
 // NewCOMALike returns the default "COMA-like" composite matcher used
@@ -59,7 +65,7 @@ func (c *Composite) Match(net *schema.Network) []schema.Correspondence {
 func NewCOMALike() *Composite {
 	return NewComposite(
 		"coma-like",
-		DefaultMeasures,
+		DefaultMeasures(),
 		[]float64{0.2, 0.15, 0.25, 0.15, 0.25},
 		WeightedAgg,
 		Threshold{T: 0.66},

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"schemanet/internal/schema"
-	"schemanet/internal/similarity"
 )
 
 // Matcher produces candidate correspondences for every edge of a
@@ -15,73 +14,31 @@ type Matcher interface {
 	Match(net *schema.Network) []schema.Correspondence
 }
 
-// Measure scores the similarity of two attribute names in [0, 1]. A
-// measure may close over corpus statistics built by the matcher.
+// Measure scores the similarity of two attributes in [0, 1] from
+// their feature rows. s is the calling goroutine's scratch.
 type Measure struct {
 	Name string
-	Fn   func(a, b string) float64
+	Fn   func(a, b *Row, s *Scratch) float64
 }
 
-// MeasureSet builds the measures for one network; corpus-based measures
-// need the full attribute-name corpus before scoring.
-type MeasureSet func(corpus *similarity.Corpus) []Measure
-
-// corpusOf collects every attribute name of the network into a TF-IDF
-// corpus with abbreviation expansion.
-func corpusOf(net *schema.Network) *similarity.Corpus {
-	names := make([]string, 0, net.NumAttributes())
-	for _, s := range net.Schemas() {
-		for _, a := range s.Attrs {
-			names = append(names, net.AttrName(a))
-		}
-	}
-	return similarity.NewCorpus(names, similarity.DefaultAbbreviations())
-}
-
-// Normalized wraps a raw string measure so it compares the corpus's
-// canonical forms of the names (tokenized, segmented, abbreviation-
-// expanded).
-func Normalized(corpus *similarity.Corpus, fn func(a, b string) float64) func(a, b string) float64 {
-	return func(a, b string) float64 { return fn(corpus.Canon(a), corpus.Canon(b)) }
-}
-
-// stripSpaces removes spaces so gram/edit measures become robust across
-// naming conventions that drop separators entirely.
-func stripSpaces(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] != ' ' {
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
-
-// Concatenated compares the canonical forms with spaces stripped.
-func Concatenated(corpus *similarity.Corpus, fn func(a, b string) float64) func(a, b string) float64 {
-	return func(a, b string) float64 {
-		return fn(stripSpaces(corpus.Canon(a)), stripSpaces(corpus.Canon(b)))
-	}
-}
-
-// DefaultMeasures is the standard first-line measure set shared by the
-// built-in matchers: edit-based, gram-based (token-aware and
+// DefaultMeasures returns the standard first-line measure set shared by
+// the built-in matchers: edit-based, gram-based (token-aware and
 // separator-free), token-based, and corpus TF-IDF name similarity.
-func DefaultMeasures(corpus *similarity.Corpus) []Measure {
-	return []Measure{
-		{Name: "jaro-winkler", Fn: Normalized(corpus, similarity.JaroWinkler)},
-		{Name: "trigram-dice", Fn: Normalized(corpus, func(a, b string) float64 { return similarity.QGramDice(a, b, 3) })},
-		{Name: "concat-trigram", Fn: Concatenated(corpus, func(a, b string) float64 { return similarity.QGramDice(a, b, 3) })},
-		{Name: "token-jaccard", Fn: Normalized(corpus, similarity.TokenJaccard)},
-		{Name: "tfidf-cosine", Fn: corpus.Cosine},
-	}
+func DefaultMeasures() []Measure {
+	return []Measure{jaroWinklerMeasure, trigramDiceMeasure, concatTrigramMeasure, tokenJaccardMeasure, tfidfCosineMeasure}
 }
 
-// matchEdges runs score+select over every interaction edge and converts
-// selected cells to correspondences. Edges are scored in parallel (the
-// dominant cost on large networks — WebForm has ~3900 edges); results
-// are flattened in edge order, so the output is deterministic.
-func matchEdges(net *schema.Network, score func(rows, cols []schema.AttrID) *Matrix, sel Selector) []schema.Correspondence {
+// scoreFunc fills the similarity matrix of one edge from the feature
+// table t, using the calling worker's scratch s.
+type scoreFunc func(t []Row, rows, cols []schema.AttrID, s *Scratch) *Matrix
+
+// matchEdges builds the feature table of net, runs score+select over
+// every interaction edge and converts selected cells to
+// correspondences. Edges are scored in parallel (the dominant cost on
+// large networks — WebForm has ~3900 edges); results are flattened in
+// edge order, so the output is deterministic.
+func matchEdges(net *schema.Network, score scoreFunc, sel Selector) []schema.Correspondence {
+	t := buildTable(net)
 	edges := net.Interaction().Edges()
 	perEdge := make([][]schema.Correspondence, len(edges))
 
@@ -98,11 +55,12 @@ func matchEdges(net *schema.Network, score func(rows, cols []schema.AttrID) *Mat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s Scratch
 			for i := range next {
 				e := edges[i]
 				s1 := net.SchemaByID(schema.SchemaID(e.U))
 				s2 := net.SchemaByID(schema.SchemaID(e.V))
-				m := score(s1.Attrs, s2.Attrs)
+				m := score(t, s1.Attrs, s2.Attrs, &s)
 				var out []schema.Correspondence
 				for _, cell := range sel.Select(m) {
 					out = append(out, schema.Correspondence{

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"schemanet/internal/schema"
-	"schemanet/internal/similarity"
 )
 
 // Node is one operator of a matching process tree, in the style of AMC's
@@ -16,40 +15,32 @@ type Node interface {
 }
 
 type evalCtx struct {
-	net    *schema.Network
-	corpus *similarity.Corpus
-	rows   []schema.AttrID
-	cols   []schema.AttrID
+	table []Row
+	rows  []schema.AttrID
+	cols  []schema.AttrID
+	s     *Scratch
 }
 
-// Leaf evaluates one measure over all attribute pairs. Use NewLeaf, or
-// CorpusLeaf for corpus-backed measures.
-type Leaf struct {
-	name string
-	fn   func(a, b string) float64
-	// corpusFn, when set, receives the corpus at evaluation time.
-	corpusFn func(c *similarity.Corpus) func(a, b string) float64
-}
+// Leaf evaluates one measure over all attribute pairs. A pair with a
+// token-free side scores 0.
+type Leaf struct{ m Measure }
 
-// NewLeaf wraps a plain string measure as a process leaf.
+// NewLeaf wraps a measure over raw attribute names as a process leaf.
 func NewLeaf(name string, fn func(a, b string) float64) *Leaf {
-	return &Leaf{name: name, fn: fn}
-}
-
-// CorpusLeaf wraps a corpus-backed measure as a process leaf.
-func CorpusLeaf(name string, fn func(c *similarity.Corpus) func(a, b string) float64) *Leaf {
-	return &Leaf{name: name, corpusFn: fn}
+	return &Leaf{Measure{Name: name, Fn: func(a, b *Row, _ *Scratch) float64 { return fn(a.name, b.name) }}}
 }
 
 func (l *Leaf) eval(ctx *evalCtx) *Matrix {
-	fn := l.fn
-	if l.corpusFn != nil {
-		fn = l.corpusFn(ctx.corpus)
-	}
 	m := NewMatrix(ctx.rows, ctx.cols)
 	for i, ra := range ctx.rows {
+		a := &ctx.table[ra]
+		if a.emptyCanon() {
+			continue
+		}
 		for j, cb := range ctx.cols {
-			m.Set(i, j, fn(ctx.net.AttrName(ra), ctx.net.AttrName(cb)))
+			if b := &ctx.table[cb]; !b.emptyCanon() {
+				m.Set(i, j, l.m.Fn(a, b, ctx.s))
+			}
 		}
 	}
 	return m
@@ -137,10 +128,8 @@ func (p *Process) Name() string { return p.name }
 
 // Match implements Matcher.
 func (p *Process) Match(net *schema.Network) []schema.Correspondence {
-	corpus := corpusOf(net)
-	score := func(rows, cols []schema.AttrID) *Matrix {
-		ctx := &evalCtx{net: net, corpus: corpus, rows: rows, cols: cols}
-		return p.root.eval(ctx)
+	score := func(t []Row, rows, cols []schema.AttrID, s *Scratch) *Matrix {
+		return p.root.eval(&evalCtx{table: t, rows: rows, cols: cols, s: s})
 	}
 	return matchEdges(net, score, p.selector)
 }
@@ -169,33 +158,16 @@ func NewProcessWithSelector(sel Selector) *Process {
 					&Combine{
 						Agg: MaxAgg,
 						Children: []Node{
-							CorpusLeaf("levenshtein", func(c *similarity.Corpus) func(a, b string) float64 {
-								return Concatenated(c, similarity.LevenshteinSimilarity)
-							}),
-							CorpusLeaf("jaro-winkler", func(c *similarity.Corpus) func(a, b string) float64 {
-								return Normalized(c, similarity.JaroWinkler)
-							}),
-							CorpusLeaf("concat-trigram", func(c *similarity.Corpus) func(a, b string) float64 {
-								return Concatenated(c, func(a, b string) float64 {
-									return similarity.QGramDice(a, b, 3)
-								})
-							}),
+							&Leaf{levenshteinMeasure},
+							&Leaf{jaroWinklerMeasure},
+							&Leaf{concatTrigramMeasure},
 							&Combine{
-								Agg: AverageAgg,
-								Children: []Node{
-									CorpusLeaf("prefix", func(c *similarity.Corpus) func(a, b string) float64 {
-										return Normalized(c, similarity.PrefixSimilarity)
-									}),
-									CorpusLeaf("suffix", func(c *similarity.Corpus) func(a, b string) float64 {
-										return Normalized(c, similarity.SuffixSimilarity)
-									}),
-								},
+								Agg:      AverageAgg,
+								Children: []Node{&Leaf{prefixMeasure}, &Leaf{suffixMeasure}},
 							},
 						},
 					},
-					CorpusLeaf("tfidf-cosine", func(c *similarity.Corpus) func(a, b string) float64 {
-						return c.Cosine
-					}),
+					&Leaf{tfidfCosineMeasure},
 				},
 			},
 		},

@@ -116,6 +116,14 @@ func (c *Corpus) vector(name string) vector {
 	return v
 }
 
+// Vector returns the TF-IDF vector of a name: its distinct canonical
+// tokens in ascending string order, their weights, and the vector norm.
+// Callers must not modify the returned slices.
+func (c *Corpus) Vector(name string) (toks []string, weights []float64, norm float64) {
+	v := c.vector(name)
+	return v.toks, v.weights, v.norm
+}
+
 // Cosine returns the TF-IDF cosine similarity of two names in [0, 1].
 func (c *Corpus) Cosine(a, b string) float64 {
 	va, vb := c.vector(a), c.vector(b)

@@ -282,6 +282,34 @@ func TestMatchThroughFacade(t *testing.T) {
 	}
 }
 
+// TestMatchSkipsTokenFreeNames pins that names with no tokens ("#",
+// "%", "$$") match nothing: they all canonicalize to the empty string,
+// on which every similarity measure returns 1.
+func TestMatchSkipsTokenFreeNames(t *testing.T) {
+	b := schemanet.NewBuilder()
+	b.AddSchema("S1", "order_id", "#", "(note)", "価格")
+	b.AddSchema("S2", "orderId", "%", "$$", "数量")
+	b.ConnectAll()
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokenFree := map[string]bool{"#": true, "%": true, "$$": true}
+	for _, m := range []schemanet.Matcher{schemanet.COMALike(), schemanet.AMCLike()} {
+		found := false
+		for _, c := range m.Match(net) {
+			a, b := net.AttrName(c.A), net.AttrName(c.B)
+			if tokenFree[a] || tokenFree[b] {
+				t.Errorf("%s: candidate %s~%s at %.3f on a token-free name", m.Name(), a, b, c.Confidence)
+			}
+			found = found || (a == "order_id" && b == "orderId")
+		}
+		if !found {
+			t.Errorf("%s: missed order_id~orderId", m.Name())
+		}
+	}
+}
+
 func TestSessionStrategyOption(t *testing.T) {
 	net, truth := videoNet(t)
 	for _, name := range []string{"", "info-gain", "random", "least-certain", "by-confidence"} {
