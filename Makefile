@@ -27,7 +27,7 @@ SUGGESTTIME ?= 200x
 # fuzz knob: how long `make fuzz` mutates each target.
 FUZZTIME ?= 20s
 
-.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput bench-e2e race examples fuzz resume-smoke
+.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput bench-e2e race examples fuzz resume-smoke loc
 
 all: vet lint build test
 
@@ -76,6 +76,9 @@ bench-smoke:
 	# Matcher layer: both candidate generators on BP (scale 0.4 and 1)
 	# and UAF at scale 0.5.
 	$(GO) test -run '^$$' -bench '^BenchmarkMatcher$$' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Session construction (compile, partition, initial fill) on the two
+	# one-component end-to-end inputs: BP at scale 1, UAF at scale 0.5.
+	$(GO) test -run '^$$' -bench '^BenchmarkNewSession$$' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 
 # Multi-core throughput rig: the Throughput benchmarks at each GOMAXPROCS
 # in BENCHCPUS, reported as medians plus a scaling table (ratio vs the
@@ -129,10 +132,20 @@ resume-smoke:
 # Instantiate), and the WAL recovery scan (arbitrary crash-damaged log
 # images) — plus the dynamic-topology differential: random AddSchema/
 # AddCandidates/RetireCandidate/Assert interleavings checked
-# bit-for-bit against from-scratch construction. FUZZTIME per target;
-# crashes land in testdata/fuzz/ as regression cases.
+# bit-for-bit against from-scratch construction, and the same
+# interleavings under sampled inference against the invariants that hold
+# for any sample stream (retired candidates at probability 0, never
+# suggested or instantiated; asserted candidates at 0 or 1). FUZZTIME
+# per target; crashes land in testdata/fuzz/ as regression cases.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadSession -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDataset -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalBuild -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzSampledInvariants -fuzztime $(FUZZTIME) .
+
+# Non-test Go line count per package (files `go list` builds, tests
+# excluded): the size measure CHANGES.md reports.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read -r pkg files; do [ -z "$$files" ] || printf '%6d %s\n' $$(cat $$files | wc -l) $$pkg; done

@@ -247,6 +247,37 @@ func BenchmarkMatcher(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSession measures session construction — constraint
+// compilation, partitioning, and the initial fill — on the two
+// one-component inputs of the end-to-end benchmark: BP at scale 1 and
+// UAF at scale 0.5. Generation and matching (COMA-like) run outside the
+// timer.
+func BenchmarkNewSession(b *testing.B) {
+	for _, c := range []struct {
+		name, profile string
+		scale         float64
+	}{
+		{"bp-1", "bp", 1},
+		{"uaf-0.5", "uaf", 0.5},
+	} {
+		d, err := schemanet.GenerateDataset(c.profile, c.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net, err := schemanet.Match(d.Network, schemanet.COMALike())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := schemanet.NewSession(net, &schemanet.Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchSessionAssert drives suggest+assert steps over the given dataset,
 // reusing the session across iterations and recreating it (off the
 // clock) only when its candidates are exhausted.

@@ -584,6 +584,61 @@ func FuzzIncrementalBuild(f *testing.F) {
 	})
 }
 
+// FuzzSampledInvariants runs FuzzIncrementalBuild's seed-derived
+// schedules under sampled inference. Sampled estimates cannot be
+// compared with a from-scratch build, so after every op it checks what
+// holds regardless of the sample stream: a retired candidate reads
+// probability 0, is never suggested, and never enters the instantiated
+// matching, and an asserted candidate reads its assertion (1 or 0).
+func FuzzSampledInvariants(f *testing.F) {
+	f.Add(int64(1), uint8(6))
+	f.Add(int64(42), uint8(12))
+	f.Add(int64(-7), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		steps := int(n%14) + 1
+		sc := baseScript()
+		s := mkPlain(t, sc.buildScratchNet(t), &schemanet.Options{Inference: "sampled", Seed: seed, Samples: 100}).(*schemanet.Session)
+		for i, st := range randomScript(seed, steps, 12) {
+			applyStep(t, s, st)
+			sc.apply(st)
+			checkSampledInvariants(t, fmt.Sprintf("step %d (%s)", i, st.kind), s, sc)
+		}
+	})
+}
+
+// checkSampledInvariants checks the stream-independent invariants of
+// FuzzSampledInvariants on a live session against its script.
+func checkSampledInvariants(t *testing.T, label string, s *schemanet.Session, sc *dynScript) {
+	t.Helper()
+	net := s.Network()
+	m := s.Instantiate()
+	for _, c := range sc.cands {
+		if !sc.retired[pairKey(c.from, c.to)] {
+			continue
+		}
+		li := candByNames(t, net, c.from, c.to)
+		if p := mustProb(t, s, li); p != 0 {
+			t.Fatalf("%s: retired %s ↔ %s has probability %v, want 0", label, c.from, c.to, p)
+		}
+		if m.ContainsCorrespondence(net.Candidate(li)) {
+			t.Fatalf("%s: retired %s ↔ %s is in the instantiated matching", label, c.from, c.to)
+		}
+	}
+	for _, a := range sc.asserts {
+		want := 0.0
+		if a.ok {
+			want = 1
+		}
+		if p := mustProb(t, s, candByNames(t, net, a.from, a.to)); p != want {
+			t.Fatalf("%s: asserted %s ↔ %s (%v) has probability %v", label, a.from, a.to, a.ok, p)
+		}
+	}
+	if c, ok := s.Suggest(); ok && net.Retired(c) {
+		cand := net.Candidate(c)
+		t.Fatalf("%s: retired %s ↔ %s suggested", label, net.FullName(cand.A), net.FullName(cand.B))
+	}
+}
+
 // TestDynamicSaveLoadRoundTrip: a grown session saves as a Version 2
 // operation stream and loads back — against the ORIGINAL base network —
 // to bit-identical probabilities.

@@ -251,15 +251,11 @@ func (e *Engine) Maximize(inst, excluded *bitset.Set, rng *rand.Rand) {
 // MaximizeWithin is Maximize restricted to the given candidate subset
 // (typically one constraint-connected component): only members are
 // visited — in random order when rng is non-nil — and only the member
-// shuffle is paid. A nil members slice means no restriction (plain
-// Maximize), so restricted call sites need no branching. Callers
-// remain responsible for the excluded set; passing excluded ⊇ ¬members
-// makes the result a maximal instance of the member sub-universe.
+// shuffle is paid. Over members 0..n−1 it makes exactly Maximize's rng
+// draws. Callers remain responsible for the excluded set; passing
+// excluded ⊇ ¬members makes the result a maximal instance of the member
+// sub-universe.
 func (e *Engine) MaximizeWithin(inst, excluded *bitset.Set, members []int, rng *rand.Rand) {
-	if members == nil {
-		e.maximizeOrder(inst, excluded, e.visitOrder(rng))
-		return
-	}
 	e.maximizeOrder(inst, excluded, e.memberOrder(members, rng))
 }
 

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemanet/internal/bitset"
 	"schemanet/internal/constraints"
 	"schemanet/internal/datagen"
+	"schemanet/internal/sampling"
 	"schemanet/internal/schema"
 )
 
@@ -299,10 +301,46 @@ func TestDecomposedSampledAgreesWithExactOnRandomNet(t *testing.T) {
 	}
 }
 
-// TestSharedRngComponent: only the whole-universe component of the
+// TestWholeComponentKeepsSingleSpaceStream: the one component New builds
+// over a one-component network draws the paper's single-space stream —
+// Config.Sampler as given, with no component-scaled StagnationLimit, on
+// the rng passed to New — so its store and the rng position after New
+// match a plain sampler refilling a whole-universe store. The video
+// network saturates within a few emissions, so a stagnation limit would
+// end its rounds early and leave the rng elsewhere.
+func TestWholeComponentKeepsSingleSpaceStream(t *testing.T) {
+	e, _ := buildVideoNet(t)
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	p := MustNew(e, cfg, rng)
+
+	n := e.Network().NumCandidates()
+	refRng := rand.New(rand.NewSource(1))
+	smp := sampling.NewSampler(e.Fork(), cfg.Sampler, refRng)
+	ref := sampling.NewStore(n, smp.Config().NMin)
+	for round := 0; round < 2 && ref.NeedsResample(); round++ {
+		smp.SampleInto(ref, bitset.New(n), bitset.New(n), cfg.Samples)
+	}
+
+	st := p.ComponentStore(0)
+	if st.Size() != ref.Size() {
+		t.Fatalf("store holds %d instances, single-space reference %d", st.Size(), ref.Size())
+	}
+	for i := 0; i < st.Size(); i++ {
+		if !st.Instance(i).Equal(ref.Instance(i)) {
+			t.Fatalf("instance %d = %v, reference %v", i, st.Instance(i), ref.Instance(i))
+		}
+	}
+	if got, want := rng.Int63(), refRng.Int63(); got != want {
+		t.Fatalf("rng after New draws %d, reference %d: the sampling stream diverged", got, want)
+	}
+}
+
+// TestSharedRngComponent: only the whole-network component of the
 // trivial-partition and Monolithic paths samples from the rng passed to
-// New; a topology change that carries it keeps it, and a rebuild gives
-// it a derived stream.
+// New; a topology change that carries it keeps it — also when the
+// universe grows by candidates that form components of their own — and
+// a rebuild gives it a derived stream.
 func TestSharedRngComponent(t *testing.T) {
 	e, _ := buildVideoNet(t)
 	p := MustNew(e, DefaultConfig(), rand.New(rand.NewSource(1)))
@@ -331,6 +369,44 @@ func TestSharedRngComponent(t *testing.T) {
 	}
 	if k := p.SharedRngComponent(); k != -1 {
 		t.Fatalf("after a candidate arrival: SharedRngComponent = %d, want -1 (rebuilt)", k)
+	}
+
+	// Two new schemas and one candidate between them: the candidate is
+	// a component of its own, so the whole-network component is carried
+	// with its store, stream, and probabilities.
+	e, _ = buildVideoNet(t)
+	p = MustNew(e, DefaultConfig(), rand.New(rand.NewSource(1)))
+	before := p.Probabilities()
+	net = e.Network()
+	grow := func(op func() error) map[int]int {
+		t.Helper()
+		oldN := net.NumCandidates()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		e.Grow(oldN)
+		carried, err := p.TopologyChanged(oldN, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return carried
+	}
+	for _, name := range []string{"LateA", "LateB"} {
+		grow(func() error { _, err := net.AppendSchema(name, "x"); return err })
+	}
+	a, b := schema.AttrID(net.NumAttributes()-2), schema.AttrID(net.NumAttributes()-1)
+	carried := grow(func() error {
+		_, err := net.AppendCandidates([]schema.Correspondence{{A: a, B: b, Confidence: 0.5}})
+		return err
+	})
+	if k := p.SharedRngComponent(); k != 0 || p.NumComponents() != 2 || carried[0] != 0 {
+		t.Fatalf("after an isolated candidate arrival: SharedRngComponent = %d, %d components, carried %v; want the carried component 0 of 2",
+			k, p.NumComponents(), carried)
+	}
+	for c, want := range before {
+		if got := p.Probability(c); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("p(%d) = %v after growth, want %v", c, got, want)
+		}
 	}
 
 	e, _ = buildTwoTriangles(t)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"schemanet/internal/bitset"
@@ -54,19 +55,9 @@ func (p *PMN) contentSeed(members []int) int64 {
 	return int64(h)
 }
 
-// memberKey canonically names a component by its ascending member list;
-// nil members (the whole-universe component) materialize over the given
-// universe size so a trivial partition and an explicit full-universe
-// component compare equal.
-func memberKey(members []int, universe int) string {
+// memberKey canonically names a component by its ascending member list.
+func memberKey(members []int) string {
 	var b []byte
-	if members == nil {
-		for c := 0; c < universe; c++ {
-			b = strconv.AppendInt(b, int64(c), 10)
-			b = append(b, ',')
-		}
-		return string(b)
-	}
 	for _, c := range members {
 		b = strconv.AppendInt(b, int64(c), 10)
 		b = append(b, ',')
@@ -110,41 +101,24 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	oldStale := p.gainsStale
 	oldByKey := make(map[string]int, len(oldComps))
 	for k0, c := range oldComps {
-		oldByKey[memberKey(c.members, oldN)] = k0
+		oldByKey[memberKey(c.members)] = k0
 	}
 
 	parts := p.engine.Components()
 	nk := parts.NumComponents()
+	lists := make([][]int, nk)
+	for k := range lists {
+		lists[k] = parts.Members(k)
+	}
+	p.layout(lists, n)
 	newComps := make([]*component, nk)
 	newStale := make([]bool, nk)
 	carried := make(map[int]int, nk)
-	compOf := make([]int, n)
-	localIdx := make([]int32, n)
-	maxComp := 0
-	for k := 0; k < nk; k++ {
-		members := parts.Members(k)
-		for j, c := range members {
-			compOf[c] = k
-			localIdx[c] = int32(j)
-		}
-		if len(members) > maxComp {
-			maxComp = len(members)
-		}
-	}
-	p.compOf, p.localIdx, p.maxComp = compOf, localIdx, maxComp
 
 	var rebuilt []int
-	for k := 0; k < nk; k++ {
-		members := parts.Members(k)
-		k0, ok := oldByKey[memberKey(members, oldN)]
-		// A nil-members component spans the whole old universe and its
-		// store has no explicit member set: it cannot widen when new
-		// candidates arrive, so force a rebuild (which materializes the
-		// member list) whenever the universe grows.
-		if ok && oldComps[k0].members == nil && n > oldN {
-			ok = false
-		}
-		if ok && (retiredCand < 0 || !memberOf(oldComps[k0], retiredCand, oldN)) {
+	for k, members := range lists {
+		k0, ok := oldByKey[memberKey(members)]
+		if ok && (retiredCand < 0 || !oldComps[k0].mask.Has(retiredCand)) {
 			// Unchanged membership: carry the component, widening its
 			// universe-sized state in place. Feedback masks, store
 			// columns, probabilities, entropy, and cached gains are all
@@ -153,12 +127,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 			c := oldComps[k0]
 			c.approved.Grow(n)
 			c.disapproved.Grow(n)
-			var local []int32
-			if c.mask != nil {
-				c.mask.Grow(n)
-				local = localIdx
-			}
-			c.inf.Grow(n, local)
+			c.mask.Grow(n)
+			c.inf.Grow(n, p.localIdx)
 			c.rankScratch = nil
 			c.topScratch = nil
 			newComps[k] = c
@@ -166,9 +136,7 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 			carried[k] = k0
 			continue
 		}
-		c := newComponent(p.engine, n)
-		c.members = members
-		c.mask = bitset.FromIndices(n, members...)
+		c := newComponent(p.engine, members, n)
 		for _, m := range members {
 			if p.feedback.IsApproved(m) {
 				c.approved.Add(m)
@@ -176,12 +144,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 				c.disapproved.Add(m)
 			}
 		}
-		scfg := p.cfg.Sampler
-		if scfg.StagnationLimit == 0 {
-			scfg.StagnationLimit = 8*len(members) + 128
-		}
 		rng := rand.New(rand.NewSource(p.contentSeed(members)))
-		inf, err := p.newInference(k, c, scfg, rng)
+		inf, err := p.newInference(k, c, p.componentSampler(members), rng)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +164,7 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	for _, k := range rebuilt {
 		c := p.comps[k]
 		if c.inf.Mode() == InferSampled {
-			p.seedSurvivors(c, oldComps, carriedOld, oldN)
+			p.seedSurvivors(c, oldComps, carriedOld)
 		}
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
@@ -214,15 +178,6 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	return carried, nil
 }
 
-// memberOf reports whether candidate c belongs to old component cp
-// (nil members = the whole old universe).
-func memberOf(cp *component, c, universe int) bool {
-	if cp.members == nil {
-		return c < universe
-	}
-	return cp.mask.Has(c)
-}
-
 // seedSurvivors seeds a rebuilt sampled component's empty store with
 // instances derived from its predecessors' surviving samples: each
 // round unions one projected instance from every overlapping retired-
@@ -232,25 +187,14 @@ func memberOf(cp *component, c, universe int) bool {
 // check is a cheap guard, not a correctness crutch), completes the
 // union to maximality deterministically, and adds it. The following
 // Refill then only pays for the n_min deficit (survivor-reuse chunk).
-func (p *PMN) seedSurvivors(c *component, oldComps []*component, carriedOld map[int]bool, oldN int) {
+// Retired candidates are dropped from the projections: an old sample
+// may hold a candidate that has since been retired, and it must never
+// reach the new store.
+func (p *PMN) seedSurvivors(c *component, oldComps []*component, carriedOld map[int]bool) {
 	n := len(p.probs)
 	var pools [][]*bitset.Set
 	for k0, o := range oldComps {
-		if carriedOld[k0] {
-			continue
-		}
-		overlap := false
-		if o.members == nil {
-			overlap = true
-		} else {
-			for _, m := range o.members {
-				if c.mask.Has(m) {
-					overlap = true
-					break
-				}
-			}
-		}
-		if !overlap {
+		if carriedOld[k0] || !slices.ContainsFunc(o.members, c.mask.Has) {
 			continue
 		}
 		var insts []*bitset.Set
@@ -280,7 +224,7 @@ func (p *PMN) seedSurvivors(c *component, oldComps []*component, carriedOld map[
 		rounds = maxPool
 	}
 	eng := c.engine
-	_, excl := sampling.FeedbackWithin(n, nil, c.disapproved, c.mask, nil, nil)
+	_, excl := sampling.FeedbackWithin(eng, nil, c.disapproved, c.mask, nil, nil)
 	for i := 0; i < rounds; i++ {
 		inst := eng.NewInstance()
 		// Approved members first: every stored instance must contain
@@ -289,7 +233,7 @@ func (p *PMN) seedSurvivors(c *component, oldComps []*component, carriedOld map[
 		inst.UnionWith(c.approved)
 		for _, pool := range pools {
 			pool[i%len(pool)].ForEach(func(d int) bool {
-				if !inst.Has(d) && !eng.HasConflict(inst, d) {
+				if !inst.Has(d) && !excl.Has(d) && !eng.HasConflict(inst, d) {
 					inst.Add(d)
 				}
 				return true

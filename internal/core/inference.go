@@ -92,7 +92,7 @@ type Inference interface {
 	// topology change that left this component's membership unchanged:
 	// the store's instance bitsets widen in place and any universe-sized
 	// scratch is dropped. local is the PMN's new global→column index
-	// slice (nil for a full-universe store).
+	// slice.
 	Grow(n int, local []int32)
 }
 
@@ -113,7 +113,7 @@ const DefaultConvergence = 0.01
 // to the store's n_min deficit), capped at max per round, with an
 // early stop once the store's marginals move by at most conv across a
 // chunk. min == max degenerates to the legacy fixed budget — a single
-// SampleWithin(max) call per round, bit-identical rng consumption to
+// SampleInto(max) call per round, bit-identical rng consumption to
 // the pre-adaptive implementation.
 type budgetPlan struct {
 	min, max int
@@ -157,10 +157,10 @@ type sampledInference struct {
 	sampler *sampling.Sampler
 	store   *sampling.Store
 	plan    budgetPlan
-	// approved/disapproved/mask are the component's feedback masks and
-	// member mask, shared with (and written by) the owning component;
-	// mask nil means the whole universe.
-	approved, disapproved, mask *bitset.Set
+	// approved/disapproved are the component's feedback masks, shared
+	// with (and written by) the owning component. The walk's member
+	// restriction comes from the store.
+	approved, disapproved *bitset.Set
 	// prev/cur are marginal-vector scratch (column space, length
 	// TrackedCount) for the adaptive convergence test; nil until the
 	// first chunked round. Owned by the component like the rest of the
@@ -195,9 +195,9 @@ func (s *sampledInference) Refill() int {
 
 // refillRound emits one resampling round's walk samples and returns the
 // emissions requested. The fixed budget (plan.min == plan.max) is a
-// single SampleWithin call — bit-identical rng consumption to the
+// single SampleInto call — bit-identical rng consumption to the
 // pre-adaptive implementation, since chunk boundaries change where the
-// walk's restart draw is skipped (SampleWithin's i > 0 guard). The
+// walk's restart draw is skipped (SampleInto's i > 0 guard). The
 // adaptive loop samples in chunks and stops once no tracked marginal
 // moved by more than plan.conv across a chunk; a chunk that discovered
 // no new distinct instance has delta 0 and stops likewise, which
@@ -208,7 +208,7 @@ func (s *sampledInference) Refill() int {
 func (s *sampledInference) refillRound() int {
 	st := s.store
 	if s.plan.min >= s.plan.max {
-		s.sampler.SampleWithin(st, s.approved, s.disapproved, s.mask, s.plan.max)
+		s.sampler.SampleInto(st, s.approved, s.disapproved, s.plan.max)
 		return s.plan.max
 	}
 	if s.prev == nil {
@@ -230,7 +230,7 @@ func (s *sampledInference) refillRound() int {
 			chunk = rem
 		}
 		st.MarginalsInto(s.prev)
-		s.sampler.SampleWithin(st, s.approved, s.disapproved, s.mask, chunk)
+		s.sampler.SampleInto(st, s.approved, s.disapproved, chunk)
 		emitted += chunk
 		if emitted >= s.plan.max {
 			break
@@ -246,7 +246,7 @@ func (s *sampledInference) refillRound() int {
 func (s *sampledInference) Grow(n int, local []int32) {
 	s.store.GrowUniverse(n, local)
 	// The walk's instance/blocked scratch is universe-sized; drop it so
-	// the next SampleWithin reallocates at the new width.
+	// the next SampleInto reallocates at the new width.
 	s.sampler.ResetScratch()
 }
 
@@ -275,34 +275,28 @@ func maxAbsDelta(a, b []float64) float64 {
 type exactInference struct {
 	engine *constraints.Engine
 	store  *sampling.Store
-	// disapproved/mask are shared with the owning component (mask nil =
-	// whole universe); the disapproval maximality probe reads them.
+	// disapproved/mask are shared with the owning component; the
+	// disapproval maximality probe reads them.
 	disapproved, mask *bitset.Set
-	excl              *bitset.Set // scratch: ¬mask ∪ F− for the probe
+	excl              *bitset.Set // scratch: ¬mask ∪ F− ∪ retired for the probe
 }
 
-// newExactInference enumerates the component's matching instances under
-// the current feedback into a fresh complete store. budget caps both
-// the instance count and the enumeration work (0 = unlimited); overflow
-// returns sampling.ErrTooManyInstances.
-func newExactInference(engine *constraints.Engine, approved, disapproved, mask *bitset.Set,
-	members []int, localIdx []int32, nmin, budget int) (*exactInference, error) {
-	instances, err := sampling.EnumerateWithin(engine, approved, disapproved, mask, budget)
+// newExactInference enumerates component c's matching instances under
+// its current feedback into a fresh complete store (local is the PMN's
+// global→column table). budget caps both the instance count and the
+// enumeration work (0 = unlimited); overflow returns
+// sampling.ErrTooManyInstances.
+func newExactInference(c *component, local []int32, nmin, budget int) (*exactInference, error) {
+	instances, err := sampling.EnumerateWithin(c.engine, c.approved, c.disapproved, c.mask, budget)
 	if err != nil {
 		return nil, err
 	}
-	n := engine.Network().NumCandidates()
-	var store *sampling.Store
-	if members == nil {
-		store = sampling.NewStore(n, nmin)
-	} else {
-		store = sampling.NewComponentStore(n, nmin, members, localIdx)
-	}
+	store := sampling.NewComponentStore(c.engine.Network().NumCandidates(), nmin, c.members, local)
 	for _, inst := range instances {
 		store.Add(inst)
 	}
 	store.MarkComplete()
-	return &exactInference{engine: engine, store: store, disapproved: disapproved, mask: mask}, nil
+	return &exactInference{engine: c.engine, store: store, disapproved: c.disapproved, mask: c.mask}, nil
 }
 
 func (x *exactInference) Mode() InferenceMode    { return InferExact }
@@ -315,13 +309,9 @@ func (x *exactInference) Apply(c int, approve bool) bool {
 		// The caller mirrored c into the disapproved mask already, so the
 		// exclusion set the maximality probe needs — ¬mask ∪ F− — is
 		// exactly what FeedbackWithin derives from the component views.
-		if x.mask != nil && x.excl == nil {
-			x.excl = bitset.New(x.engine.Network().NumCandidates())
-		}
-		_, excl := sampling.FeedbackWithin(x.engine.Network().NumCandidates(),
-			nil, x.disapproved, x.mask, nil, x.excl)
+		_, x.excl = sampling.FeedbackWithin(x.engine, nil, x.disapproved, x.mask, nil, x.excl)
 		x.store.ApplyAssertionExact(c, false, func(inst *bitset.Set) bool {
-			return x.engine.Maximal(inst, excl)
+			return x.engine.Maximal(inst, x.excl)
 		})
 	}
 	// Both directions preserve exactness (see FilterInstances): an
@@ -369,12 +359,8 @@ func maxAttemptFree(budget int) int {
 // freeCount returns the component's unasserted member count — the
 // promotion trigger input. The feedback masks only ever hold members,
 // so two popcounts suffice.
-func (c *component) freeCount(universe int) int {
-	n := universe
-	if c.members != nil {
-		n = len(c.members)
-	}
-	return n - c.approved.Count() - c.disapproved.Count()
+func (c *component) freeCount() int {
+	return len(c.members) - c.approved.Count() - c.disapproved.Count()
 }
 
 // newInference builds component c's initial backend per Config.Inference:
@@ -390,33 +376,23 @@ func (p *PMN) newInference(k int, c *component, scfg sampling.Config, rng *rand.
 		nmin = sampling.DefaultConfig().NMin
 	}
 	budget := p.exactBudget()
-	free := c.freeCount(len(p.probs))
+	free := c.freeCount()
 	if p.cfg.Inference == InferExact ||
 		(p.cfg.Inference == InferAuto && free < budget && free <= maxAttemptFree(budget)) {
-		ex, err := newExactInference(c.engine, c.approved, c.disapproved, c.mask,
-			c.members, p.localIdx, nmin, budget)
+		ex, err := newExactInference(c, p.localIdx, nmin, budget)
 		if err == nil {
 			return ex, nil
 		}
 		if p.cfg.Inference == InferExact {
-			size := len(p.probs)
-			if c.members != nil {
-				size = len(c.members)
-			}
 			return nil, fmt.Errorf("core: component %d (%d candidates): %w: %v",
-				k, size, ErrExactBudgetExceeded, err)
+				k, len(c.members), ErrExactBudgetExceeded, err)
 		}
 	}
 	sampler := sampling.NewSampler(c.engine, scfg, rng)
-	var store *sampling.Store
-	if c.members == nil {
-		store = sampling.NewStore(len(p.probs), sampler.Config().NMin)
-	} else {
-		store = sampling.NewComponentStore(len(p.probs), sampler.Config().NMin, c.members, p.localIdx)
-	}
 	return &sampledInference{
-		sampler: sampler, store: store, plan: resolveBudget(p.cfg),
-		approved: c.approved, disapproved: c.disapproved, mask: c.mask,
+		sampler: sampler, plan: resolveBudget(p.cfg),
+		store:    sampling.NewComponentStore(len(p.probs), sampler.Config().NMin, c.members, p.localIdx),
+		approved: c.approved, disapproved: c.disapproved,
 	}, nil
 }
 
@@ -440,15 +416,14 @@ func (p *PMN) maybePromote(k int) {
 	if cp.inf.Mode() == InferExact {
 		return
 	}
-	free := cp.freeCount(len(p.probs))
+	free := cp.freeCount()
 	budget := p.exactBudget()
 	if free >= budget || free > maxAttemptFree(budget) ||
 		(cp.promoteBar >= 0 && free >= cp.promoteBar) {
 		return
 	}
 	nmin := cp.inf.Store().NMin()
-	ex, err := newExactInference(cp.engine, cp.approved, cp.disapproved, cp.mask,
-		cp.members, p.localIdx, nmin, budget)
+	ex, err := newExactInference(cp, p.localIdx, nmin, budget)
 	if err != nil {
 		// Over budget at this feedback state: stay sampled, remember the
 		// state so the next attempt waits for more assertions.

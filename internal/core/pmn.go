@@ -64,8 +64,9 @@ type Config struct {
 	// proves they cannot reach the maximum (see DESIGN.md, "Lazy top-k
 	// ranking") — so the switch is the reference for differential tests.
 	ExhaustiveRank bool
-	// Monolithic disables component decomposition: the whole network is
-	// one sample space, as in the paper's Algorithm 1. The decomposed
+	// Monolithic disables component decomposition: the PMN is one
+	// component over all candidates — one sample space, as in the
+	// paper's Algorithm 1 — whatever the partition. The decomposed
 	// and monolithic paths are equivalent (identical probabilities under
 	// Exact, statistically equivalent estimates when sampling); the
 	// switch exists for differential testing and debugging.
@@ -93,8 +94,8 @@ func DefaultConfig() Config {
 // from different goroutines with one lock per component and no shared
 // mutable reads (see DESIGN.md, "Concurrent serving").
 type component struct {
-	members []int       // global candidate ids, ascending; nil = whole universe
-	mask    *bitset.Set // members as a mask; nil = whole universe
+	members []int       // global candidate ids, ascending
+	mask    *bitset.Set // members as a mask
 	engine  *constraints.Engine
 	// inf is the component's estimation backend (sampled or exact, see
 	// Inference). Under InferAuto it can be swapped from sampled to exact
@@ -145,9 +146,12 @@ type component struct {
 	evalDrift  []float64
 	evalEpoch  []uint64
 
-	// sharedRng marks the component whose sampler draws from the rng
-	// passed to New rather than from a stream of its own (see
-	// SharedRngComponent).
+	// sharedRng marks the component New built to span the whole
+	// network (a trivial partition, or Config.Monolithic). Its sampler
+	// draws from the rng passed to New rather than from a stream of its
+	// own, keeps Sampler.StagnationLimit as configured instead of the
+	// component-scaled default, and is instantiated with the full
+	// local-search budget (see SharedRngComponent).
 	sharedRng bool
 }
 
@@ -179,7 +183,7 @@ type PMN struct {
 	feedback  *Feedback
 	comps     []*component
 	compOf    []int   // candidate -> index into comps
-	localIdx  []int32 // candidate -> column index inside its component's store
+	localIdx  []int32 // candidate -> column index inside its component's store (shared by all stores)
 	probs     []float64
 	maxComp   int          // size of the largest component (scratch sizing)
 	resamples atomic.Int64 // post-construction refill rounds (observability)
@@ -201,12 +205,15 @@ type PMN struct {
 	topoGen  uint64
 }
 
-// newComponent wires one component: an engine fork of its own (walk
-// scratch is engine-owned, so concurrent component maintenance needs
-// per-component forks) and empty component-scoped feedback masks. The
-// estimation backend is attached afterwards (PMN.newInference).
-func newComponent(engine *constraints.Engine, n int) *component {
+// newComponent wires one component over the given members (ascending):
+// an engine fork of its own (walk scratch is engine-owned, so concurrent
+// component maintenance needs per-component forks), the member mask,
+// and empty component-scoped feedback masks. The estimation backend is
+// attached afterwards (PMN.newInference).
+func newComponent(engine *constraints.Engine, members []int, n int) *component {
 	return &component{
+		members:     members,
+		mask:        bitset.FromIndices(n, members...),
 		engine:      engine.Fork(),
 		approved:    bitset.New(n),
 		disapproved: bitset.New(n),
@@ -234,77 +241,91 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		probs:    make([]float64, n),
 	}
 
-	// Per-component sampler configs and rng streams: the backend choice
-	// is made after the components are wired, but the streams must be
-	// drawn in component order regardless of mode, so an exact component
-	// does not shift its neighbors' seeds (mode is derived state —
-	// replay and differential runs depend on stable streams).
-	var scfgs []sampling.Config
-	var rngs []*rand.Rand
-
+	// One member list per component. A trivial partition — and
+	// Config.Monolithic, whatever the partition — is one component over
+	// 0..n−1: the paper's single global sample space.
 	parts := engine.Components()
-	if cfg.Monolithic || parts.Trivial() {
-		// One component covering the whole universe: nil members/mask
-		// select the unrestricted code paths everywhere, and the shared
-		// session rng keeps the sampling stream identical to the
-		// pre-decomposition implementation.
-		p.comps = []*component{newComponent(engine, n)}
-		p.comps[0].sharedRng = true
-		p.compOf = make([]int, n)
-		p.localIdx = nil
-		p.maxComp = n
-		scfgs = []sampling.Config{cfg.Sampler}
-		rngs = []*rand.Rand{rng}
+	whole := cfg.Monolithic || parts.Trivial()
+	var lists [][]int
+	if whole {
+		all := make([]int, n)
+		for c := range all {
+			all[c] = c
+		}
+		lists = [][]int{all}
 	} else {
-		p.compOf = make([]int, n)
-		p.localIdx = make([]int32, n)
-		p.comps = make([]*component, parts.NumComponents())
-		scfgs = make([]sampling.Config, parts.NumComponents())
-		rngs = make([]*rand.Rand, parts.NumComponents())
-		for k := 0; k < parts.NumComponents(); k++ {
-			members := parts.Members(k)
-			for j, c := range members {
-				p.compOf[c] = k
-				p.localIdx[c] = int32(j)
-			}
-			if len(members) > p.maxComp {
-				p.maxComp = len(members)
-			}
-			// Each component samples from its own deterministic stream, so
-			// resampling one component never perturbs the others' draws —
-			// and maintenance of component-disjoint assertions commutes
-			// bit-for-bit, which is what makes concurrent serving
-			// reproducible.
-			rngs[k] = rand.New(rand.NewSource(rng.Int63()))
-			scfg := cfg.Sampler
-			if scfg.StagnationLimit == 0 {
-				// Unset: a small component's instance space saturates in a
-				// few dozen emissions; cap the duplicates a round may burn
-				// before concluding the round is done. Negative keeps early
-				// stopping disabled (see sampling.Config.StagnationLimit).
-				scfg.StagnationLimit = 8*len(members) + 128
-			}
-			scfgs[k] = scfg
-			c := newComponent(engine, n)
-			c.members = members
-			c.mask = bitset.FromIndices(n, members...)
-			p.comps[k] = c
+		lists = make([][]int, parts.NumComponents())
+		for k := range lists {
+			lists[k] = parts.Members(k)
 		}
 	}
+	p.layout(lists, n)
 
+	// Each component is wired, given its sampler config and rng stream,
+	// and filled in component order. The streams of a decomposed PMN are
+	// drawn from rng one per component, whatever the component's backend,
+	// so an exact component does not shift its neighbors' seeds (mode is
+	// derived state — replay and differential runs depend on stable
+	// streams); a fill draws only from its own component's stream.
+	p.comps = make([]*component, len(lists))
 	p.gains = make([]float64, n)
-	p.gainsStale = make([]bool, len(p.comps))
-	for k, c := range p.comps {
-		inf, err := p.newInference(k, c, scfgs[k], rngs[k])
+	p.gainsStale = make([]bool, len(lists))
+	for k, members := range lists {
+		c := newComponent(engine, members, n)
+		scfg, crng := cfg.Sampler, rng
+		if whole {
+			// The whole-network component samples from the session rng
+			// with the sampler config as given, keeping the stream of
+			// the paper's single-space implementation.
+			c.sharedRng = true
+		} else {
+			// Each component samples from its own deterministic stream,
+			// so resampling one component never perturbs the others'
+			// draws — and maintenance of component-disjoint assertions
+			// commutes bit-for-bit, which is what makes concurrent
+			// serving reproducible.
+			scfg, crng = p.componentSampler(members), rand.New(rand.NewSource(rng.Int63()))
+		}
+		inf, err := p.newInference(k, c, scfg, crng)
 		if err != nil {
 			return nil, err
 		}
 		c.inf = inf
+		p.comps[k] = c
 		// Initial fill; no-op for exact components.
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
 	}
 	return p, nil
+}
+
+// layout installs the candidate → component and candidate → column
+// tables for the given per-component member lists.
+func (p *PMN) layout(lists [][]int, n int) {
+	p.compOf = make([]int, n)
+	p.localIdx = make([]int32, n)
+	p.maxComp = 0
+	for k, members := range lists {
+		for j, c := range members {
+			p.compOf[c] = k
+			p.localIdx[c] = int32(j)
+		}
+		p.maxComp = max(p.maxComp, len(members))
+	}
+}
+
+// componentSampler returns the sampler config of a component with a
+// stream of its own: Config.Sampler, with an unset StagnationLimit
+// replaced by a component-scaled default — a small component's instance
+// space saturates in a few dozen emissions, so a round may burn only so
+// many duplicates before concluding it is done. Negative keeps early
+// stopping disabled (see sampling.Config.StagnationLimit).
+func (p *PMN) componentSampler(members []int) sampling.Config {
+	scfg := p.cfg.Sampler
+	if scfg.StagnationLimit == 0 {
+		scfg.StagnationLimit = 8*len(members) + 128
+	}
+	return scfg
 }
 
 // MustNew is New that panics on error — for configurations that cannot
@@ -337,7 +358,9 @@ func (p *PMN) ComponentOf(c int) int { return p.compOf[c] }
 // paths build such a component, and a topology change that carries it
 // keeps it; a rebuilt component always gets a derived stream. A serving
 // layer that draws from the same rng elsewhere must serialize those
-// draws with this component's maintenance.
+// draws with this component's maintenance. The same component is the
+// one instantiation searches with its full local-search budget (see
+// instantiate.HeuristicDecomposed).
 func (p *PMN) SharedRngComponent() int {
 	for k, c := range p.comps {
 		if c.sharedRng {
@@ -368,8 +391,7 @@ func (p *PMN) ComponentStores() []*sampling.Store {
 }
 
 // ComponentMasks returns the per-component member masks in component
-// order; a nil entry means the component covers the whole universe.
-// The masks must not be mutated.
+// order. The masks must not be mutated.
 func (p *PMN) ComponentMasks() []*bitset.Set {
 	out := make([]*bitset.Set, len(p.comps))
 	for k, c := range p.comps {
@@ -423,15 +445,10 @@ func (p *PMN) Resamples() int { return int(p.resamples.Load()) }
 func (p *PMN) Emissions() int { return int(p.emissions.Load()) }
 
 // LocalIndex returns candidate c's column index inside its component's
-// store and snapshots (the identity when the PMN is a single
-// whole-universe component). The mapping is immutable after
-// construction and safe to call from any goroutine.
-func (p *PMN) LocalIndex(c int) int {
-	if p.localIdx == nil {
-		return c
-	}
-	return int(p.localIdx[c])
-}
+// store and snapshots (the identity when the PMN is one component over
+// the whole universe). Only TopologyChanged replaces the mapping, under
+// total exclusion, so it is safe to call from any goroutine otherwise.
+func (p *PMN) LocalIndex(c int) int { return int(p.localIdx[c]) }
 
 // recomputeComp refreshes component k's slice of P from its store,
 // overriding asserted candidates with 1/0 (assertions are always right,
@@ -443,14 +460,8 @@ func (p *PMN) recomputeComp(k int) {
 	c.topFresh = false
 	c.store().ProbabilitiesInto(p.probs)
 	h := 0.0
-	if c.members == nil {
-		for cand := range p.probs {
-			h += p.entropyTermAt(c, cand)
-		}
-	} else {
-		for _, cand := range c.members {
-			h += p.entropyTermAt(c, cand)
-		}
+	for _, cand := range c.members {
+		h += p.entropyTermAt(c, cand)
 	}
 	c.entropy = h
 }
@@ -547,7 +558,7 @@ func (p *PMN) ApplyAssertions(k int, as []Assertion) {
 		if kept < 0 {
 			kept = after
 		}
-		cp.noteDrift(before, after, kept, cp.freeCount(len(p.probs)))
+		cp.noteDrift(before, after, kept, cp.freeCount())
 	}
 	// Promotion runs before the refill decision: if the shrunk component
 	// now enumerates within budget, the exact backend replaces the store

@@ -98,25 +98,16 @@ func (p *PMN) SnapshotComponentTop(k int, base *ComponentSnapshot) *ComponentSna
 func (p *PMN) snapshot(k int) *ComponentSnapshot {
 	cp := p.comps[k]
 	net := p.Network()
-	snap := &ComponentSnapshot{entropy: cp.entropy, bestGain: -1}
-	collect := func(j, c int) {
+	snap := &ComponentSnapshot{
+		entropy:    cp.entropy,
+		bestGain:   -1,
+		probs:      make([]float64, len(cp.members)),
+		unasserted: make([]int, 0, len(cp.members)),
+	}
+	for j, c := range cp.members {
 		snap.probs[j] = p.probs[c]
 		if !cp.isAsserted(c) && !net.Retired(c) {
 			snap.unasserted = append(snap.unasserted, c)
-		}
-	}
-	if cp.members == nil {
-		n := len(p.probs)
-		snap.probs = make([]float64, n)
-		snap.unasserted = make([]int, 0, n)
-		for c := 0; c < n; c++ {
-			collect(c, c)
-		}
-	} else {
-		snap.probs = make([]float64, len(cp.members))
-		snap.unasserted = make([]int, 0, len(cp.members))
-		for j, c := range cp.members {
-			collect(j, c)
 		}
 	}
 	return snap

@@ -213,12 +213,9 @@ func (p *PMN) topFromGains(k int) ([]int, float64) {
 	net := p.Network()
 	best := -1.0
 	ties := cp.topTies[:0]
-	scan := func(c int) {
-		if pc := p.probs[c]; pc <= 0 || pc >= 1 {
-			return
-		}
-		if cp.isAsserted(c) || net.Retired(c) {
-			return
+	for _, c := range cp.members {
+		if pc := p.probs[c]; pc <= 0 || pc >= 1 || cp.isAsserted(c) || net.Retired(c) {
+			continue
 		}
 		switch g := p.gains[c]; {
 		case g > best:
@@ -226,15 +223,6 @@ func (p *PMN) topFromGains(k int) ([]int, float64) {
 			ties = append(ties[:0], c)
 		case g == best:
 			ties = append(ties, c)
-		}
-	}
-	if cp.members == nil {
-		for c := range p.probs {
-			scan(c)
-		}
-	} else {
-		for _, c := range cp.members {
-			scan(c)
 		}
 	}
 	cp.topTies, cp.topGain, cp.topFresh = ties, best, true
@@ -252,20 +240,11 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	net := p.Network()
 
 	ts.cand, ts.ucols, ts.h = ts.cand[:0], ts.ucols[:0], ts.h[:0]
-	collect := func(j, c int) {
+	for j, c := range cp.members {
 		if pc := p.probs[c]; pc > 0 && pc < 1 && !cp.isAsserted(c) && !net.Retired(c) {
 			ts.cand = append(ts.cand, c)
 			ts.ucols = append(ts.ucols, j)
 			ts.h = append(ts.h, BinaryEntropy(pc))
-		}
-	}
-	if cp.members == nil {
-		for c := range p.probs {
-			collect(c, c)
-		}
-	} else {
-		for j, c := range cp.members {
-			collect(j, c)
 		}
 	}
 	nu := len(ts.cand)
@@ -332,7 +311,7 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		p.evalBlockMatrix(cp, ts, pos, hi, workers, parallel)
 		for _, i := range ord[pos:hi] {
 			g := ts.gain[i]
-			cp.recordEval(ts.ucols[i], g, storeColumns(cp, len(p.probs)))
+			cp.recordEval(ts.ucols[i], g, len(cp.members))
 			switch {
 			case g > best:
 				best = g
@@ -347,16 +326,6 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	ts.ties = ties
 	cp.topTies, cp.topGain, cp.topFresh = ties, best, true
 	return ties, best
-}
-
-// storeColumns sizes the per-column evaluation records: the member
-// count for a decomposed component, the universe for a whole-universe
-// one.
-func storeColumns(cp *component, universe int) int {
-	if cp.members != nil {
-		return len(cp.members)
-	}
-	return universe
 }
 
 // ensureBlockBufs sizes the serial triangle count's block-kernel

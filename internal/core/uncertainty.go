@@ -118,22 +118,13 @@ func (p *PMN) EnsureComponentGains(k int) {
 	}
 	cp := p.comps[k]
 	pending, cols := cp.rankPending[:0], cp.rankCols[:0]
-	collect := func(j, c int) {
+	for j, c := range cp.members {
 		p.gains[c] = 0
 		if pc := p.probs[c]; pc > 0 && pc < 1 {
 			pending = append(pending, c)
 			if !cp.isAsserted(c) {
 				cols = append(cols, j)
 			}
-		}
-	}
-	if cp.members == nil {
-		for c := range p.probs {
-			collect(c, c)
-		}
-	} else {
-		for j, c := range cp.members {
-			collect(j, c)
 		}
 	}
 	cp.rankPending, cp.rankCols = pending, cols
@@ -220,11 +211,7 @@ func (p *PMN) partitionEntropyOf(comp *component, counts []int, total int, s *ig
 	}
 	h := 0.0
 	for j, cnt := range counts {
-		d := j
-		if comp.members != nil {
-			d = comp.members[j]
-		}
-		if s.asserted[d] {
+		if s.asserted[comp.members[j]] {
 			continue // asserted candidates stay certain in P±
 		}
 		if !memo {

@@ -26,7 +26,7 @@ func instantiateAt(d *schema.Dataset, strat core.Strategy, steps []int,
 	snapshot := func() (float64, float64) {
 		inst := instantiate.HeuristicDecomposed(e, pmn.ComponentStores(), pmn.ComponentMasks(),
 			pmn.Probabilities(),
-			pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, rng)
+			pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, pmn.SharedRngComponent(), rng)
 		return eval.PrecisionRecall(d.Network, inst.Members(), d.GroundTruth)
 	}
 

@@ -124,7 +124,7 @@ func Robust(cfg Config) (Result, error) {
 				}
 				inst := instantiate.HeuristicDecomposed(e, pmn.ComponentStores(), pmn.ComponentMasks(),
 					pmn.Probabilities(),
-					pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, rng)
+					pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, pmn.SharedRngComponent(), rng)
 				precs[run], recs[run] = eval.PrecisionRecall(d.Network, inst.Members(), d.GroundTruth)
 			})
 			row.Precision[variant] = eval.MeanStd(precs).Mean

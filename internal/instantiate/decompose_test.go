@@ -70,7 +70,7 @@ func TestHeuristicDecomposedMatchesExactOptimum(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Iterations = 40
 
-		got := HeuristicDecomposed(e, stores, masks, probs, nil, nil, cfg,
+		got := HeuristicDecomposed(e, stores, masks, probs, nil, nil, cfg, -1,
 			rand.New(rand.NewSource(seed+100)))
 		want, err := Exact(e, probs, nil, nil, cfg.UseLikelihood, 0)
 		if err != nil {
@@ -109,7 +109,7 @@ func TestHeuristicDecomposedRespectsFeedback(t *testing.T) {
 	stores[len(stores)-1].ApplyAssertion(dis, false)
 
 	got := HeuristicDecomposed(e, stores, masks, probs, approved, disapproved,
-		DefaultConfig(), rand.New(rand.NewSource(72)))
+		DefaultConfig(), -1, rand.New(rand.NewSource(72)))
 	if !got.Has(app) {
 		t.Fatal("approved candidate missing from decomposed instantiation")
 	}
@@ -121,20 +121,39 @@ func TestHeuristicDecomposedRespectsFeedback(t *testing.T) {
 	}
 }
 
-// TestHeuristicDecomposedSingleComponentDelegates: a single nil-masked
-// component is exactly the monolithic Heuristic (same rng stream, same
-// result).
+// TestHeuristicDecomposedSingleComponentDelegates: one whole-network
+// component marked as such keeps the full search budget, so it is
+// exactly the monolithic Heuristic — same result, same rng consumption.
+// Checked on the video network and on a synthetic network large enough
+// that an unmarked component's 4m+16 cap cuts the local search short
+// (the unmarked run must leave the rng elsewhere).
 func TestHeuristicDecomposedSingleComponentDelegates(t *testing.T) {
-	e, _ := buildVideoNet(t)
-	rng := rand.New(rand.NewSource(5))
-	s := sampling.NewSampler(e, sampling.DefaultConfig(), rng)
-	store := s.Sample(nil, nil, 100)
-	probs := store.Probabilities()
-	cfg := DefaultConfig()
-	a := Heuristic(e, store, probs, nil, nil, cfg, rand.New(rand.NewSource(9)))
-	b := HeuristicDecomposed(e, []*sampling.Store{store}, []*bitset.Set{nil},
-		probs, nil, nil, cfg, rand.New(rand.NewSource(9)))
-	if !a.Equal(b) {
-		t.Fatalf("single-component HeuristicDecomposed %v != Heuristic %v", b, a)
+	video, _ := buildVideoNet(t)
+	d, err := datagen.SyntheticNetwork(datagen.Scale(datagen.BP(), 0.2),
+		datagen.DefaultSyntheticOpts(36), rand.New(rand.NewSource(61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range []*constraints.Engine{video, constraints.Default(d.Network)} {
+		s := sampling.NewSampler(e, sampling.DefaultConfig(), rand.New(rand.NewSource(5)))
+		store := s.Sample(nil, nil, 100)
+		probs := store.Probabilities()
+		cfg := DefaultConfig()
+		cfg.Iterations = 8*e.Network().NumCandidates() + 64
+		whole := []*bitset.Set{e.FullInstance()}
+		rngA, rngB, rngC := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		a := Heuristic(e, store, probs, nil, nil, cfg, rngA)
+		b := HeuristicDecomposed(e, []*sampling.Store{store}, whole, probs, nil, nil, cfg, 0, rngB)
+		if !a.Equal(b) {
+			t.Fatalf("network %d: single-component HeuristicDecomposed %v != Heuristic %v", i, b, a)
+		}
+		posA := rngA.Int63()
+		if posB := rngB.Int63(); posA != posB {
+			t.Fatalf("network %d: HeuristicDecomposed consumed the rng differently from Heuristic", i)
+		}
+		HeuristicDecomposed(e, []*sampling.Store{store}, whole, probs, nil, nil, cfg, -1, rngC)
+		if posC := rngC.Int63(); i == 1 && posC == posA {
+			t.Fatalf("network %d: the capped search consumed the rng like the full one; the cap never engaged", i)
+		}
 	}
 }

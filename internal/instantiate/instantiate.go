@@ -122,79 +122,65 @@ func (q *tabuQueue) add(c int) {
 
 func (q *tabuQueue) has(c int) bool { return q.set.Has(c) }
 
-// Heuristic runs Algorithm 2 and returns the best matching instance
-// found: consistent, respecting the feedback, with near-minimal repair
-// distance and near-maximal likelihood. probs are the current
-// correspondence probabilities; approved/disapproved may be nil.
+// Heuristic runs Algorithm 2 over the whole network and returns the
+// best matching instance found: consistent, respecting the feedback,
+// with near-minimal repair distance and near-maximal likelihood. probs
+// are the current correspondence probabilities; approved/disapproved may
+// be nil; store may be nil (no greedy pickup).
 func Heuristic(e *constraints.Engine, store *sampling.Store, probs []float64,
 	approved, disapproved *bitset.Set, cfg Config, rng *rand.Rand) *bitset.Set {
-	return heuristicWithin(e, store, probs, approved, disapproved, nil, cfg, rng)
+	all := e.FullInstance()
+	return heuristicWithin(e, store, probs, approved, disapproved, all, all.Members(), cfg, rng)
 }
 
 // HeuristicDecomposed runs Algorithm 2 independently on every
 // constraint-connected component and unions the per-component winners.
-// stores[k] holds component k's samples and masks[k] its member set (a
-// nil mask means the component covers the whole universe, as in a
-// monolithic single-component PMN). Both the repair distance Δ(I, C)
-// and the likelihood u(I) are sums/products over components, so the
-// union of per-component optima is a global optimum of the same
-// objective — searching each component's much smaller instance space
-// instead of the product space. The search budget (cfg.Iterations) is
-// scaled down per component (a component of m candidates saturates in
-// O(m) moves), so total work does not multiply with component count.
+// stores[k] holds component k's samples and masks[k] its member set.
+// Both the repair distance Δ(I, C) and the likelihood u(I) are
+// sums/products over components, so the union of per-component optima
+// is a global optimum of the same objective — searching each
+// component's much smaller instance space instead of the product space.
+// The search budget (cfg.Iterations) is scaled down per component (a
+// component of m candidates saturates in O(m) moves), so total work
+// does not multiply with component count. Component whole (-1 for none)
+// is the one a PMN built to span the whole network (see
+// core.PMN.SharedRngComponent): it keeps the full budget, as Heuristic
+// does.
 func HeuristicDecomposed(e *constraints.Engine, stores []*sampling.Store, masks []*bitset.Set,
-	probs []float64, approved, disapproved *bitset.Set, cfg Config, rng *rand.Rand) *bitset.Set {
+	probs []float64, approved, disapproved *bitset.Set, cfg Config, whole int, rng *rand.Rand) *bitset.Set {
 
-	if len(stores) == 1 && masks[0] == nil {
-		return Heuristic(e, stores[0], probs, approved, disapproved, cfg, rng)
-	}
 	out := e.NewInstance()
 	for k, store := range stores {
 		subCfg := cfg
-		if m := store.TrackedCount(); subCfg.Iterations > 4*m+16 {
+		if m := store.TrackedCount(); k != whole && subCfg.Iterations > 4*m+16 {
 			subCfg.Iterations = 4*m + 16
 		}
-		sub := heuristicWithin(e, store, probs, approved, disapproved, masks[k], subCfg, rng)
+		sub := heuristicWithin(e, store, probs, approved, disapproved, masks[k], store.TrackedMembers(), subCfg, rng)
 		out.UnionWith(sub)
 	}
 	return out
 }
 
 // heuristicWithin is Algorithm 2 restricted to the candidates of
-// `within` (nil = whole universe): the greedy pickup reads the
-// component's store, the local search only proposes component
-// candidates, repairs protect approved ∩ within, and saturation
-// excludes everything outside the component. The repair-distance
-// reference is the component's candidate set.
+// `within` (members is the same set as an ascending list): the greedy
+// pickup reads the component's store, the local search only proposes
+// component candidates, repairs protect approved ∩ within, and
+// saturation excludes everything outside the component. The
+// repair-distance reference is the component's candidate set.
 func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float64,
-	approved, disapproved *bitset.Set, within *bitset.Set, cfg Config, rng *rand.Rand) *bitset.Set {
+	approved, disapproved, within *bitset.Set, members []int, cfg Config, rng *rand.Rand) *bitset.Set {
 
 	n := e.Network().NumCandidates()
-	full := within
-	if full == nil {
-		full = e.FullInstance()
-	}
-	// apr = F+ ∩ within seeds and protects; excluded = ¬within ∪ F−
-	// bounds repairs and saturation.
-	apr, excluded := sampling.FeedbackWithin(n, approved, disapproved, within, nil, nil)
-	var members []int
-	if within != nil {
-		// A component store already caches its member list; fall back to
-		// deriving it from the mask for store-less callers.
-		if store != nil {
-			members = store.TrackedMembers()
-		}
-		if members == nil {
-			members = within.Members()
-		}
-	}
+	// apr = F+ ∩ within seeds and protects; excluded = ¬within ∪ F− ∪
+	// retired bounds repairs and saturation.
+	apr, excluded := sampling.FeedbackWithin(e, approved, disapproved, within, nil, nil)
 
 	// Step 1: greedy pickup among the sampled instances — minimal repair
 	// distance, tie-broken by likelihood.
 	var best *bitset.Set
 	if store != nil {
 		store.ForEachInstance(func(inst *bitset.Set) bool {
-			if best == nil || better(best, inst, full, probs, cfg.UseLikelihood) {
+			if best == nil || better(best, inst, within, probs, cfg.UseLikelihood) {
 				best = inst
 			}
 			return true
@@ -212,23 +198,17 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 	best = best.Clone()
 
 	// Step 2: randomized local search with tabu. The pool within \ I \
-	// F− \ tabu is built as a mask (word-wise set subtraction) and
+	// excluded \ tabu is built as a mask (word-wise set subtraction) and
 	// expanded in ascending order.
 	cur := best.Clone()
 	tabu := newTabuQueue(cfg.TabuSize, n)
 	pool := make([]int, 0, n)
 	free := bitset.New(n)
 	for i := 0; i < cfg.Iterations; i++ {
-		if within != nil {
-			free.CopyFrom(within)
-		} else {
-			free.SetAll()
-		}
+		free.CopyFrom(within)
 		free.DifferenceWith(cur)
 		free.DifferenceWith(tabu.set)
-		if excluded != nil {
-			free.DifferenceWith(excluded)
-		}
+		free.DifferenceWith(excluded)
 		pool = pool[:0]
 		free.ForEach(func(c int) bool {
 			pool = append(pool, c)
@@ -241,7 +221,7 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 		tabu.add(c)
 		e.Repair(cur, c, apr)
 		e.MaximizeWithin(cur, excluded, members, rng)
-		if better(best, cur, full, probs, cfg.UseLikelihood) {
+		if better(best, cur, within, probs, cfg.UseLikelihood) {
 			best.CopyFrom(cur)
 		}
 	}

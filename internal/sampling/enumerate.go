@@ -49,7 +49,9 @@ const (
 // If the approved set is itself inconsistent, no instance exists and an
 // empty slice is returned.
 func EnumerateAll(e *constraints.Engine, approved, disapproved *bitset.Set, limit int) ([]*bitset.Set, error) {
-	return EnumerateWithin(e, approved, disapproved, nil, limit)
+	all := e.NewInstance()
+	all.SetAll()
+	return EnumerateWithin(e, approved, disapproved, all, limit)
 }
 
 // EnumerateWithin is EnumerateAll restricted to one constraint-connected
@@ -58,26 +60,25 @@ func EnumerateAll(e *constraints.Engine, approved, disapproved *bitset.Set, limi
 // Maximality is relative to the component — candidates outside `within`
 // are treated as excluded, which matches global maximality because
 // constraints never couple candidates across components (see
-// Engine.Components). within nil means the whole universe, making
-// EnumerateAll the trivial restriction.
+// Engine.Components). EnumerateAll is the restriction to the whole
+// universe.
 //
 // A limit > 0 bounds both the instance count and the search work (see
 // enumWorkFactor): exceeding either returns ErrTooManyInstances, so a
 // budgeted probe — the hybrid inference's promotion attempt — is O(limit)
 // no matter how large the component's subset lattice is.
 func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitset.Set, limit int) ([]*bitset.Set, error) {
-	n := e.Network().NumCandidates()
 	// excluded = disapproved ∪ ¬within bounds the maximality check (the
 	// restricted approved set is rebuilt inline below during the
 	// consistency check, so only the exclusion half is needed here).
-	_, excluded := FeedbackWithin(n, nil, disapproved, within, nil, nil)
+	_, excluded := FeedbackWithin(e, nil, disapproved, within, nil, nil)
 	base := e.NewInstance()
 	if approved != nil {
 		// Verify the (restricted) approved set is self-consistent while
 		// building it.
 		ok := true
 		approved.ForEach(func(c int) bool {
-			if within != nil && !within.Has(c) {
+			if !within.Has(c) {
 				return true
 			}
 			if e.HasConflict(base, c) {
@@ -97,19 +98,12 @@ func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitse
 	// retired-mask block in Maximize/Maximal).
 	net := e.Network()
 	var free []int
-	addFree := func(c int) bool {
+	within.ForEach(func(c int) bool {
 		if !base.Has(c) && (disapproved == nil || !disapproved.Has(c)) && !net.Retired(c) {
 			free = append(free, c)
 		}
 		return true
-	}
-	if within != nil {
-		within.ForEach(addFree)
-	} else {
-		for c := 0; c < n; c++ {
-			addFree(c)
-		}
-	}
+	})
 
 	var out []*bitset.Set
 	var overflow error

@@ -37,9 +37,12 @@ type Config struct {
 	RestartProb float64
 	// StagnationLimit ends a sampling round early after this many
 	// consecutive emissions that discovered no new distinct instance.
-	// 0 means unset: the sampler never stops early, but the decomposed
-	// PMN substitutes a component-scaled default for its component
-	// samplers. Negative disables early stopping unconditionally. A
+	// 0 means unset: the sampler never stops early, but the PMN
+	// substitutes a component-scaled default for its component
+	// samplers — except the single component of a network that is one
+	// component at construction (or built Config.Monolithic), which
+	// keeps 0 and so never stops early. Negative disables early stopping
+	// unconditionally. A
 	// saturated round ends "below n_min" just as a full round would, so
 	// the §III-B completeness conclusion is unchanged — the limit only
 	// stops paying for emissions that demonstrably cannot add coverage
@@ -65,8 +68,8 @@ type Sampler struct {
 	cfg      Config
 	rng      *rand.Rand
 	freeMask *bitset.Set // scratch: eligible-move mask, reused across walk steps
-	exclMask *bitset.Set // scratch: ¬within ∪ F− for component-restricted walks
-	aprMask  *bitset.Set // scratch: F+ ∩ within for component-restricted walks
+	exclMask *bitset.Set // scratch: ¬members ∪ F− ∪ retired (see FeedbackWithin)
+	aprMask  *bitset.Set // scratch: F+ ∩ members
 }
 
 // NewSampler builds a sampler. rng must not be nil.
@@ -91,29 +94,31 @@ func (s *Sampler) ResetScratch() {
 }
 
 // FeedbackWithin derives the component-restricted form of the feedback
-// masks shared by every restricted operation (SampleWithin,
-// EnumerateWithin, the instantiation heuristic): aprOut = F+ ∩ within
-// and exclOut = ¬within ∪ F−. A nil within means no restriction and
-// returns (approved, disapproved) unchanged. When non-nil, aprBuf and
-// exclBuf are reused as destinations (capacity n); otherwise fresh sets
-// are allocated. aprOut is nil when approved is nil.
-func FeedbackWithin(n int, approved, disapproved, within, aprBuf, exclBuf *bitset.Set) (aprOut, exclOut *bitset.Set) {
-	if within == nil {
-		return approved, disapproved
-	}
+// masks shared by every restricted operation (SampleInto,
+// EnumerateWithin, the instantiation heuristic, the exact backend's
+// maximality probe): aprOut = F+ ∩ within and exclOut = ¬within ∪ F− ∪
+// R, where R is e's retired mask — a retired candidate can never join an
+// instance, so every walk, repair, and saturation treats it as
+// excluded. When non-nil, aprBuf and exclBuf are reused as destinations
+// (capacity NumCandidates); otherwise fresh sets are allocated. aprOut
+// is nil when approved is nil.
+func FeedbackWithin(e *constraints.Engine, approved, disapproved, within, aprBuf, exclBuf *bitset.Set) (aprOut, exclOut *bitset.Set) {
 	if exclBuf == nil {
-		exclBuf = bitset.New(n)
+		exclBuf = e.NewInstance()
 	}
 	exclBuf.SetAll()
 	exclBuf.DifferenceWith(within)
 	if disapproved != nil {
 		exclBuf.UnionWith(disapproved)
 	}
+	if r := e.RetiredMask(); r != nil {
+		exclBuf.UnionWith(r)
+	}
 	if approved == nil {
 		return nil, exclBuf
 	}
 	if aprBuf == nil {
-		aprBuf = bitset.New(n)
+		aprBuf = e.NewInstance()
 	}
 	aprBuf.CopyFrom(approved)
 	aprBuf.IntersectWith(within)
@@ -121,67 +126,44 @@ func FeedbackWithin(n int, approved, disapproved, within, aprBuf, exclBuf *bitse
 }
 
 // freeCandidates recomputes the sampler's free mask — the candidates
-// eligible for a walk move: within \ I \ excluded (within nil means the
-// whole universe) — as word-wise passes over the scratch bitset and
-// returns its population count. A uniform move is then
-// freeMask.NthMember(rng.Intn(count)): the same candidate a slice-based
-// scan would have picked, without the O(C) append loop.
+// eligible for a walk move: within \ I \ excluded — as word-wise passes
+// over the scratch bitset and returns its population count. A uniform
+// move is then freeMask.NthMember(rng.Intn(count)): the same candidate a
+// slice-based scan would have picked, without the O(C) append loop.
 func (s *Sampler) freeCandidates(inst, excluded, within *bitset.Set) int {
 	if s.freeMask == nil {
 		s.freeMask = s.engine.NewInstance()
 	}
-	if within != nil {
-		s.freeMask.CopyFrom(within)
-	} else {
-		s.freeMask.SetAll()
-	}
+	s.freeMask.CopyFrom(within)
 	s.freeMask.DifferenceWith(inst)
-	if excluded != nil {
-		s.freeMask.DifferenceWith(excluded)
-	}
+	s.freeMask.DifferenceWith(excluded)
 	return s.freeMask.Count()
 }
 
-// SampleInto runs Algorithm 3 for n emitted samples, adding each to the
-// store. The walk starts from the store's last instance when available,
-// otherwise from the approved set (I0 ← F+, saturated when Maximize is
-// on).
+// SampleInto runs Algorithm 3 for n emitted samples over the store's
+// members, adding each to the store. The walk starts from the store's
+// last instance when available, otherwise from the approved members
+// (I0 ← F+ ∩ members, saturated when Maximize is on).
+//
+// The walk only ever moves on the store's members, and the repairs and
+// saturations exclude everything outside them, so the emitted instances
+// are maximal consistent subsets of the member candidates. Because
+// constraints never couple candidates across components (see
+// Engine.Components), a walk over one constraint-connected component
+// samples the component's factor of the instance space exactly as a
+// walk over the whole universe (a NewStore store) samples the product.
 func (s *Sampler) SampleInto(store *Store, approved, disapproved *bitset.Set, n int) {
-	s.SampleWithin(store, approved, disapproved, nil, n)
-}
-
-// SampleWithin is SampleInto restricted to one constraint-connected
-// component: the walk only ever moves on candidates of `within`, the
-// repairs and saturations exclude everything outside it, and the
-// emitted instances are maximal consistent subsets of the component's
-// candidates. Because constraints never couple candidates across
-// components (see Engine.Components), the restricted walk samples the
-// component's factor of the instance space exactly as the global walk
-// samples the product. within nil means the whole universe, making
-// SampleInto the trivial restriction.
-func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bitset.Set, n int) {
-	// The walk excludes ¬within ∪ F− everywhere it would exclude F−
-	// alone, and seeds from F+ ∩ within instead of F+. Both masks (and
-	// the member list driving the restricted saturation order) are
-	// fixed for the whole call, so they are computed once into scratch.
-	var members []int
-	if within != nil {
-		// The component store already caches its member list (and its Add
-		// panics on instances outside it, so tracked ⊇ within is
-		// guaranteed wherever the combination is usable); fall back to
-		// deriving the list from the mask for full-universe stores.
-		if members = store.TrackedMembers(); members == nil {
-			members = within.Members()
-		}
-		if s.exclMask == nil {
-			s.exclMask = s.engine.NewInstance()
-		}
-		if s.aprMask == nil && approved != nil {
-			s.aprMask = s.engine.NewInstance()
-		}
+	// The walk excludes ¬members ∪ F− ∪ retired everywhere, and seeds
+	// from F+ ∩ members. Both masks are fixed for the whole call, so
+	// they are computed once into scratch.
+	within, members := store.memberMask, store.members
+	if s.exclMask == nil {
+		s.exclMask = s.engine.NewInstance()
 	}
-	apr, excluded := FeedbackWithin(s.engine.Network().NumCandidates(),
-		approved, disapproved, within, s.aprMask, s.exclMask)
+	if s.aprMask == nil && approved != nil {
+		s.aprMask = s.engine.NewInstance()
+	}
+	apr, excluded := FeedbackWithin(s.engine, approved, disapproved, within, s.aprMask, s.exclMask)
 	fresh := func() *bitset.Set {
 		inst := s.engine.NewInstance()
 		if apr != nil {

@@ -17,20 +17,20 @@ import "schemanet/internal/bitset"
 // AND + popcount between two columns, O(S/64) per candidate pair (see
 // DESIGN.md, "Columnar sample store").
 //
-// A store tracks either the whole candidate universe (NewStore) or one
-// constraint-connected component of it (NewComponentStore). A component
-// store holds the component's matching instances — maximal consistent
-// subsets of the component's candidates — and materializes columns and
-// counts only for its members, so the per-component slabs of a
-// decomposed PMN together cost what the one monolithic slab did (see
-// DESIGN.md, "Component decomposition"). Instances added to a component
-// store must be subsets of the member set.
+// A store tracks one set of members: one constraint-connected component
+// of the candidate universe (NewComponentStore), or the whole universe
+// as its single component (NewStore). It holds the members' matching
+// instances — maximal consistent subsets of the member candidates — and
+// materializes columns and counts only for its members, so the
+// per-component slabs of a decomposed PMN together cost what one
+// whole-universe slab would (see DESIGN.md, "Component decomposition").
+// Instances added to a store must be subsets of its member set.
 type Store struct {
 	numCands   int
 	nmin       int
-	members    []int       // tracked candidates, ascending; nil = all
-	local      []int32     // global -> column index; nil = identity. Shared, read-only.
-	memberMask *bitset.Set // members as a mask; nil = all
+	members    []int       // tracked candidates, ascending
+	local      []int32     // global -> column index. Shared, read-only.
+	memberMask *bitset.Set // members as a mask
 	m          int         // number of tracked candidates
 	instances  []*bitset.Set
 	fps        []uint64         // fps[i] = instances[i].Fingerprint()
@@ -44,16 +44,15 @@ type Store struct {
 }
 
 // NewStore returns an empty store tracking all numCands candidates with
-// view-maintenance threshold nmin.
+// view-maintenance threshold nmin: a component store whose members are
+// 0..numCands−1 under the identity column map.
 func NewStore(numCands, nmin int) *Store {
-	return &Store{
-		numCands: numCands,
-		nmin:     nmin,
-		m:        numCands,
-		index:    make(map[uint64][]int),
-		counts:   make([]int, numCands),
-		cols:     make([][]uint64, numCands),
+	members := make([]int, numCands)
+	local := make([]int32, numCands)
+	for c := range members {
+		members[c], local[c] = c, int32(c)
 	}
+	return NewComponentStore(numCands, nmin, members, local)
 }
 
 // NewComponentStore returns an empty store tracking only the given
@@ -91,14 +90,6 @@ func (st *Store) GrowUniverse(n int, local []int32) {
 	oldWords := (st.numCands + 63) / 64
 	st.numCands = n
 	st.local = local
-	if st.members == nil {
-		// A full-universe store cannot grow: its columns are sized to
-		// the universe. Callers decompose before growing.
-		if n > st.m {
-			panic("sampling: GrowUniverse on a full-universe store")
-		}
-		return
-	}
 	st.memberMask.Grow(n)
 	for _, inst := range st.instances {
 		inst.Grow(n)
@@ -115,12 +106,7 @@ func (st *Store) GrowUniverse(n int, local []int32) {
 
 // columnOf returns the column index of global candidate c. Callers must
 // pass a tracked candidate.
-func (st *Store) columnOf(c int) int {
-	if st.local == nil {
-		return c
-	}
-	return int(st.local[c])
-}
+func (st *Store) columnOf(c int) int { return int(st.local[c]) }
 
 // mustTrack panics when c is not tracked by this store: the shared
 // global→column map is only meaningful for this store's members, so an
@@ -131,35 +117,27 @@ func (st *Store) mustTrack(c int) {
 	}
 }
 
-// TrackedCount returns the number of tracked candidates: NumCandidates
-// for a full store, the component size for a component store.
+// TrackedCount returns the number of tracked candidates (the member
+// count).
 func (st *Store) TrackedCount() int { return st.m }
 
-// TrackedMembers returns the tracked candidates in ascending order, or
-// nil when the store tracks the whole universe. The slice must not be
-// mutated.
+// TrackedMembers returns the tracked candidates in ascending order. The
+// slice must not be mutated.
 func (st *Store) TrackedMembers() []int { return st.members }
 
 // GlobalID returns the global candidate index of column j.
-func (st *Store) GlobalID(j int) int {
-	if st.members == nil {
-		return j
-	}
-	return st.members[j]
-}
+func (st *Store) GlobalID(j int) int { return st.members[j] }
 
 // Tracks reports whether candidate c is tracked by this store.
-func (st *Store) Tracks(c int) bool {
-	return st.memberMask == nil || st.memberMask.Has(c)
-}
+func (st *Store) Tracks(c int) bool { return st.memberMask.Has(c) }
 
 // Add inserts a copy of inst unless an identical instance is already
 // present; it reports whether the instance was new. Dedup uses a 64-bit
 // fingerprint index with an Equal check on collision, avoiding the
 // string-key allocation a map[string]int would cost per emission.
 func (st *Store) Add(inst *bitset.Set) bool {
-	if st.memberMask != nil && !st.memberMask.ContainsAll(inst) {
-		panic("sampling: instance outside the component store's member set")
+	if !st.memberMask.ContainsAll(inst) {
+		panic("sampling: instance outside the store's member set")
 	}
 	fp := inst.Fingerprint()
 	for _, i := range st.index[fp] {
@@ -173,14 +151,24 @@ func (st *Store) Add(inst *bitset.Set) bool {
 	st.instances = append(st.instances, cp)
 	st.fps = append(st.fps, fp)
 	st.ensureColWords(row>>6 + 1)
-	w, b := row>>6, uint(row&63)
-	cp.ForEach(func(c int) bool {
-		j := st.columnOf(c)
-		st.counts[j]++
-		st.cols[j][w] |= 1 << b
+	st.setRow(cp, row)
+	return true
+}
+
+// setRow records inst as sample row i: the row's bit is set in the
+// column of every member of inst, and their counts go up by one. The
+// column of member d is the slab stride at local[d]; the slice headers
+// are hoisted so the per-member work is one table load and two
+// read-modify-writes.
+func (st *Store) setRow(inst *bitset.Set, i int) {
+	local, counts, slab, stride := st.local, st.counts, st.slab, st.colCap
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	inst.ForEach(func(d int) bool {
+		j := int(local[d])
+		counts[j]++
+		slab[j*stride+w] |= bit
 		return true
 	})
-	return true
 }
 
 // Size returns |Ω*|, the number of distinct instances held.
@@ -334,13 +322,7 @@ func (st *Store) rebuildColumns() {
 		st.counts[j] = 0
 	}
 	for i, inst := range st.instances {
-		w, b := i>>6, uint(i&63)
-		inst.ForEach(func(d int) bool {
-			j := st.columnOf(d)
-			st.counts[j]++
-			st.cols[j][w] |= 1 << b
-			return true
-		})
+		st.setRow(inst, i)
 	}
 }
 
@@ -368,16 +350,6 @@ func (st *Store) Probabilities() []float64 {
 // refreshes only the touched component's slice of P.
 func (st *Store) ProbabilitiesInto(out []float64) {
 	n := len(st.instances)
-	if st.members == nil {
-		for c := range st.counts {
-			if n == 0 {
-				out[c] = 0
-			} else {
-				out[c] = float64(st.counts[c]) / float64(n)
-			}
-		}
-		return
-	}
 	for j, c := range st.members {
 		if n == 0 {
 			out[c] = 0

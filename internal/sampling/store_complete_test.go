@@ -91,9 +91,8 @@ func TestComponentStoreMatchesFullStore(t *testing.T) {
 	smp := NewSampler(e, DefaultConfig(), rng)
 	for k := 0; k < parts.NumComponents(); k++ {
 		members := parts.Members(k)
-		mask := bitset.FromIndices(n, members...)
 		cst := NewComponentStore(n, 50, members, local)
-		smp.SampleWithin(cst, nil, nil, mask, 80)
+		smp.SampleInto(cst, nil, nil, 80)
 
 		full := NewStore(n, 50)
 		cst.ForEachInstance(func(inst *bitset.Set) bool {
@@ -182,7 +181,7 @@ func TestSampleWithinStaysInComponent(t *testing.T) {
 		notMask.SetAll()
 		notMask.DifferenceWith(mask)
 		st := NewComponentStore(n, 30, members, local)
-		smp.SampleWithin(st, nil, nil, mask, 50)
+		smp.SampleInto(st, nil, nil, 50)
 		if st.Size() == 0 {
 			t.Fatalf("component %d: no instances sampled", k)
 		}

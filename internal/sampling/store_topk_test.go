@@ -65,12 +65,6 @@ func TestCoCountsSubsetMatchesFull(t *testing.T) {
 		subW, subWo := make([]int, len(subset)), make([]int, len(subset))
 		for _, st := range []*Store{global, comp} {
 			cands := st.TrackedMembers()
-			if cands == nil {
-				cands = make([]int, m)
-				for j := range cands {
-					cands[j] = j
-				}
-			}
 			for _, c := range cands {
 				fw, fwo := st.CoCountsInto(c, fullW, fullWo)
 				sw, swo := st.CoCountsSubsetInto(c, subset, subW, subWo)
@@ -106,12 +100,6 @@ func TestCoCountsBlockMatchesSubset(t *testing.T) {
 		}
 		for _, st := range []*Store{global, comp} {
 			cands := st.TrackedMembers()
-			if cands == nil {
-				cands = make([]int, m)
-				for j := range cands {
-					cands[j] = j
-				}
-			}
 			b := 1 + rng.Intn(8)
 			if b > len(cands) {
 				b = len(cands)

@@ -164,8 +164,11 @@ type Options struct {
 	Convergence float64
 	// StagnationLimit ends a component's sampling round early after this
 	// many consecutive emissions that discovered no new distinct
-	// instance. 0 selects a component-scaled default; negative values
-	// are rejected by NewSession.
+	// instance. 0 selects a component-scaled default, except on a
+	// network that forms one constraint component when the session is
+	// built: that component never stops early, and it keeps that
+	// setting when a later topology change carries it unchanged.
+	// Negative values are rejected by NewSession.
 	StagnationLimit int
 	// Inference selects the per-component estimation backend:
 	//

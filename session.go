@@ -629,19 +629,10 @@ func (s *Session) Instantiate() *Matching {
 	defer s.topoMu.RUnlock()
 	s.lockAll()
 	defer s.unlockAll()
-	// Retired candidates are excluded like disapprovals: their conflict
-	// rows are cleared, so without the mask the local search could
-	// re-acquire them through the repair step.
-	dis := s.pmn.Feedback().Disapproved()
-	if rm := s.engine.RetiredMask(); rm != nil && !rm.Empty() {
-		d := dis.Clone()
-		d.UnionWith(rm)
-		dis = d
-	}
 	inst := instantiate.HeuristicDecomposed(
 		s.engine, s.pmn.ComponentStores(), s.pmn.ComponentMasks(),
 		s.pmn.Probabilities(),
-		s.pmn.Feedback().Approved(), dis,
-		s.instCfg, s.rng)
+		s.pmn.Feedback().Approved(), s.pmn.Feedback().Disapproved(),
+		s.instCfg, s.rngComp, s.rng)
 	return schema.MatchingFromCandidates(s.pmn.Network(), inst.Members())
 }
